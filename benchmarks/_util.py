@@ -150,7 +150,7 @@ def write_telemetry_sidecar(bench_file: str, runs: List[Dict],
 
 def merge_phase_snapshots(into: Dict[str, Dict[str, float]],
                           phases: Dict[str, Dict[str, float]]) -> None:
-    """Accumulate one ``PhaseProfiler.snapshot()`` into ``into`` in place."""
+    """Accumulate one ``Ledger.snapshot()`` layer view into ``into``."""
     for name, row in phases.items():
         slot = into.setdefault(name, {"calls": 0, "total_s": 0.0,
                                       "self_s": 0.0})

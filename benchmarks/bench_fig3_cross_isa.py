@@ -85,7 +85,7 @@ def figure_rows(telemetry=None):
                 ok = replay(case, destination, input_bytes, obs=obs)
                 if obs is not None:
                     merge_phase_snapshots(telemetry.setdefault(destination, {}),
-                                          obs.profiler.snapshot())
+                                          obs.ledger.snapshot())
                 total += 1
                 reproduced += int(ok)
                 hits.append("y" if ok else "N")

@@ -2,7 +2,7 @@
 
 Runs the quickstart-shaped workload (maze kernel: forks, solver checks,
 memory traffic) with three Obs configurations and asserts that the
-engine default — **enabled counters, no event sink, no profiler** —
+engine default — **enabled counters, no event sink, no cost ledger** —
 stays within ``MAX_OVERHEAD`` of a fully disabled Obs.  CI runs this on
 every push so instrumentation creep is caught before it lands.
 
@@ -89,7 +89,7 @@ def main(argv) -> int:
     monitored = best_of(Obs.default, HealthConfig)
     # Sampled cost attribution at its default cadence (deep-probe every
     # 16th step): guarded under its own, looser, budget — attribution
-    # adds two clock reads to every step by design.
+    # turns the cost ledger on, so every layer scope is timed.
     attributed = best_of(Obs.default, attr_factory=AttrConfig)
     overhead = (counters - disabled) / disabled if disabled else 0.0
     health_overhead = ((monitored - disabled) / disabled
@@ -103,7 +103,7 @@ def main(argv) -> int:
                                                     100 * overhead))
     print("counters+health:   %8.4fs  (%+.1f%%)"
           % (monitored, 100 * health_overhead))
-    print("counters+profiler: %8.4fs  (%+.1f%%)"
+    print("counters+ledger:   %8.4fs  (%+.1f%%)"
           % (profiled, 100 * (profiled - disabled) / disabled))
     print("counters+attr:     %8.4fs  (%+.1f%%)"
           % (attributed, 100 * attr_overhead))

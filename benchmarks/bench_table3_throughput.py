@@ -72,7 +72,7 @@ def table_rows(profile=False, telemetry_runs=None):
 
 
 def print_report(write_sidecar=False):
-    # Sidecar runs enable the phase profiler so the JSON carries a
+    # Sidecar runs enable the cost ledger so the JSON carries a
     # decode/eval/solver/memory breakdown; the plain report keeps the
     # engine default (counters only) so the table is the honest number.
     runs = [] if write_sidecar else None

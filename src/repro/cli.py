@@ -99,6 +99,18 @@ def _load(args):
     return model, image
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (a clean usage error otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "must be an integer >= 1, got %r" % text)
+    return value
+
+
 def _add_common(parser):
     parser.add_argument("isa", help="built-in ISA name (see 'isas')")
     parser.add_argument("source", help="assembly source file")
@@ -203,9 +215,9 @@ def _parse_regions(args):
 
 def cmd_explore(args) -> int:
     model, image = _load(args)
-    # Observability: counters always; profiler with --profile (and with
-    # --telemetry-out, so the saved run carries a per-phase breakdown);
-    # JSONL event sink with --telemetry-out.
+    # Observability: counters always; the cost ledger with --profile
+    # (and with --telemetry-out, so the saved run carries a per-phase
+    # breakdown, and with --attr); JSONL event sink with --telemetry-out.
     want_profile = getattr(args, "profile", False)
     telemetry_out = getattr(args, "telemetry_out", None)
     obs = Obs(metrics=True, profile=want_profile or bool(telemetry_out))
@@ -233,8 +245,7 @@ def cmd_explore(args) -> int:
     attr_config = None
     if attr_mode:
         attr_config = AttrConfig(mode=attr_mode,
-                                 sample_every=getattr(args, "attr_every",
-                                                      16))
+                                 sample_every=args.attr_every)
     config = EngineConfig(
         max_steps_per_path=args.max_steps,
         check_uninit=args.uninit,
@@ -310,7 +321,7 @@ def cmd_explore(args) -> int:
     if want_health and engine.health is not None:
         print(engine.health.report())
     if want_profile:
-        print(obs.profiler.report())
+        print(obs.ledger.report())
     attr_block = (result.telemetry or {}).get("attr")
     if attr_mode and attr_block:
         print(hot_report(attr_block, top=5))
@@ -1316,7 +1327,7 @@ def main(argv=None) -> int:
                               "'repro hot').  'sampled' (default) "
                               "probes IR nodes every Nth step; "
                               "'full' probes every step")
-    explore.add_argument("--attr-every", type=int, default=16,
+    explore.add_argument("--attr-every", type=_positive_int, default=16,
                          metavar="N",
                          help="sampled attribution: deep-probe every "
                               "Nth step (default 16)")

@@ -423,18 +423,12 @@ def _fork(E, state, st, cond, frames, L, outcome, FT, FI, D):
     results = []
     branches = ((cond, st[2]), (T.not_(cond), st[3]))
     feasible = []
-    attr = E.attr
-    probe = attr is not None and attr.deep
-    if probe:
-        attr.ir_enter("IfStmt")
-    try:
-        for branch_cond, body in branches:
-            verdict, model, memo = E._branch_feasible(state, branch_cond)
-            if verdict == SAT:
-                feasible.append((branch_cond, body, model, memo))
-    finally:
-        if probe:
-            attr.ir_exit()
+    # No IfStmt attribution scope: deep attribution steps never reach
+    # compiled plans (Engine._exec_block runs them interpreted).
+    for branch_cond, body in branches:
+        verdict, model, memo = E._branch_feasible(state, branch_cond)
+        if verdict == SAT:
+            feasible.append((branch_cond, body, model, memo))
     for position, (branch_cond, body, model, memo) in enumerate(feasible):
         last = position == len(feasible) - 1
         branch_state = state if last else state.fork()

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..ir import nodes as N
 from ..isa.decoder import DecodeError
 from ..obs import Obs
-from ..obs.attr import ir_kind
+from ..obs.ledger import ir_kind
 from ..smt import SAT, Solver
 from ..smt import terms as T
 from . import reporting as R
@@ -132,7 +132,7 @@ class EngineConfig:
         # run-store identity.
         self.compiled_semantics = compiled_semantics
         # Observability handle (repro.obs).  None means "engine default":
-        # enabled counters, no event sink, no profiler — negligible
+        # enabled counters, no event sink, no ledger — negligible
         # overhead.  Pass Obs.disabled() for a zero-telemetry baseline,
         # or an Obs with sinks/profiling for full tracing.
         self.obs = obs
@@ -142,10 +142,11 @@ class EngineConfig:
         # degradation actions fire only when HealthConfig.actions
         # explicitly opts in.
         self.health = health
-        # Cost attribution (repro.obs.attr).  None = off.  Pass an
-        # AttrConfig to charge wall/solver time, cache traffic, forks
-        # and term allocations to individual ADL rules, IR node kinds
-        # and branch sites (CLI --attr; repro hot).  Observe-only.
+        # Rule-level cost attribution (repro.obs.ledger).  None = off.
+        # Pass an AttrConfig to have the ledger charge eval/solver time,
+        # cache traffic, forks and term allocations to individual ADL
+        # rules, IR node kinds and branch sites (CLI --attr; repro hot).
+        # Observe-only.
         self.attr = attr
 
     # Every field that shapes the exploration *outcome* — the run-store
@@ -221,17 +222,13 @@ class Engine:
         self.solver.attach_obs(self.obs)
         model.decoder.attach_obs(self.obs)
         self._tracer = self.obs.tracer
-        self._profiler = self.obs.profiler
-        self._profile_on = self.obs.profiler.enabled
-        # Cost attribution (repro.obs.attr): charges eval/solver time,
-        # cache traffic, forks and term allocations to rules / IR node
-        # kinds / branch sites.  Observe-only, like the profiler.
-        self.attr = None
+        # The cost ledger (repro.obs.ledger) times the layers; with
+        # EngineConfig.attr it also charges them to rules / IR node
+        # kinds / branch sites.  Observe-only.
+        self._ledger = self.obs.ledger
         if self.config.attr is not None:
-            from ..obs.attr import CostAttribution
-            self.attr = CostAttribution(self.config.attr, model,
-                                        metrics=self.obs.metrics)
-            self.solver.attach_attr(self.attr)
+            self._ledger.attribute(self.config.attr)
+        self._ledger_on = self._ledger.enabled
         metrics = self.obs.metrics
         self._c_steps = metrics.counter("engine.steps")
         self._c_forks = metrics.counter("engine.forks")
@@ -246,9 +243,9 @@ class Engine:
             from .merge import MergingFrontier
             self.strategy = MergingFrontier(self.strategy, obs=self.obs)
         # The strategy shim pays a few calls per push/pop; only mount it
-        # when a layer that needs it is active (profiling or tracing —
+        # when a layer that needs it is active (the ledger or tracing —
         # sinks must be attached before the engine is constructed).
-        if self.obs.profiler.enabled or self.obs.tracer.enabled:
+        if self._ledger_on or self.obs.tracer.enabled:
             self.strategy = ObservedStrategy(self.strategy, self.obs)
         # Live health monitor (sampler + watchdog; repro.obs.health).
         self.health = None
@@ -342,7 +339,7 @@ class Engine:
         self._result = result
         self._defect_sites = set()
         solver_before = self.solver.stats.as_dict()
-        counters_before = self.obs.metrics.counters_snapshot()
+        obs_before = self.obs.mark()
         start_time = time.perf_counter()
         self._explore_start = start_time
         monitor = self.health
@@ -371,13 +368,14 @@ class Engine:
             result.wall_time = time.perf_counter() - start_time
             result.solver_stats = self.solver.stats.delta_since(
                 solver_before)
-            telemetry = self.obs.snapshot(counters_since=counters_before)
+            telemetry = self.obs.snapshot(since=obs_before)
             telemetry["solver"] = dict(result.solver_stats)
             telemetry["wall_time"] = result.wall_time
             if monitor is not None:
                 telemetry["health"] = monitor.finish()
-            if self.attr is not None:
-                telemetry["attr"] = self.attr.snapshot(self._profiler)
+            if self.config.attr is not None:
+                telemetry["attr"] = self._ledger.attr_snapshot(
+                    obs_before["ledger"], self.model)
             result.telemetry = telemetry
             self._result = None
         return result
@@ -478,7 +476,7 @@ class Engine:
         if self.config.merge_states:
             from .merge import MergingFrontier
             fresh = MergingFrontier(fresh, obs=self.obs)
-        if self.obs.profiler.enabled or self.obs.tracer.enabled:
+        if self._ledger_on or self.obs.tracer.enabled:
             fresh = ObservedStrategy(fresh, self.obs)
         self.strategy = fresh
         for state in drained:
@@ -532,32 +530,14 @@ class Engine:
         if tracer.enabled:
             tracer.emit("step", state_id=state.state_id, pc=state.pc,
                         instr=decoded.instruction.name)
-        # Cost attribution: set the (rule, pc) context every step; on a
-        # *deep* (sampled) step additionally probe the recursive _eval
-        # so per-IR-kind timings accrue.  The end_step charge in the
-        # finally mirrors the eval phase scope exactly — that is the
-        # reconciliation contract (attr eval calls == phase eval calls).
-        attr = self.attr
-        deep = False
-        if attr is not None:
-            deep = attr.begin_step(decoded.instruction.name, state.pc)
-            if deep:
-                self._install_ir_probe(attr)
-            attr_start = time.perf_counter()
         try:
-            if self._profile_on:
-                with self._profiler.phase("eval"):
-                    finished = self._exec_block(state, decoded)
+            if self._ledger_on:
+                finished = self._exec_accounted(state, decoded)
             else:
                 finished = self._exec_block(state, decoded)
         except _PathEnd as dead:
             self._dead_end(state, dead.reason)
             return []
-        finally:
-            if attr is not None:
-                if deep:
-                    self.__dict__.pop("_eval", None)
-                attr.end_step(time.perf_counter() - attr_start)
         successors: List[SymState] = []
         for sub_state, outcome in finished:
             sub_state.steps += 1
@@ -578,8 +558,8 @@ class Engine:
             forked = len(finished) - 1
             result.states_forked += forked
             self._c_forks.inc(forked)
-            if attr is not None:
-                attr.on_fork(forked)
+            if self._ledger_on:
+                self._ledger.count("fork", forked)
             if tracer.enabled:
                 tracer.emit("fork", state_id=state.state_id, pc=state.pc,
                             children=[sub.state_id
@@ -588,26 +568,36 @@ class Engine:
                                    for sub, _ in finished])
         return successors
 
-    def _install_ir_probe(self, attr) -> None:
-        """Shadow ``self._eval`` with a timing wrapper for one deep step.
+    def _exec_accounted(self, state: SymState, decoded):
+        """:meth:`_exec_block` under the ledger's ``eval`` scope, charged
+        to the instruction's rule and pc.  On a *deep* (sampled)
+        attribution step ``self._eval`` is shadowed by a wrapper that
+        opens one IR-node scope per expression: every ``self._eval``
+        call site, including the recursive ones inside :meth:`_eval`,
+        resolves through the instance attribute, so the whole tree is
+        probed without a second evaluator."""
+        ledger = self._ledger
+        deep = ledger.begin_step(decoded.instruction.name, state.pc)
+        if deep:
+            engine, base = self, Engine._eval
 
-        Every ``self._eval(...)`` call site — including the recursive
-        ones inside :meth:`_eval` itself — resolves through the
-        instance attribute, so the whole expression tree is probed
-        without duplicating the evaluator.  The shadow is popped in
-        ``_step``'s finally, restoring the plain class method."""
-        engine = self
-        base = Engine._eval
+            def probed(state, expr, fields, local_values, guards, decoded):
+                ledger.enter("eval", ir_kind(expr))
+                try:
+                    return base(engine, state, expr, fields, local_values,
+                                guards, decoded)
+                finally:
+                    ledger.exit()
 
-        def probed(state, expr, fields, local_values, guards, decoded):
-            attr.ir_enter(ir_kind(expr))
-            try:
-                return base(engine, state, expr, fields, local_values,
-                            guards, decoded)
-            finally:
-                attr.ir_exit()
-
-        self.__dict__["_eval"] = probed
+            self.__dict__["_eval"] = probed
+        ledger.enter("eval")
+        try:
+            return self._exec_block(state, decoded)
+        finally:
+            elapsed = ledger.exit()
+            if deep:
+                del self.__dict__["_eval"]
+                ledger.end_deep_step(elapsed)
 
     #: Rendered branch-condition summaries on fork events are truncated
     #: to this many characters (flight-recorder edge labels, not proofs).
@@ -642,8 +632,8 @@ class Engine:
 
     def _fetch(self, state: SymState):
         decoder = self.model.decoder
-        if self._profile_on:
-            with self._profiler.phase("decode"):
+        if self._ledger_on:
+            with self._ledger.scope("decode"):
                 decoded = self._fetch_inner(state, decoder)
         else:
             decoded = self._fetch_inner(state, decoder)
@@ -728,8 +718,8 @@ class Engine:
             forked = len(successors) - 1
             result.states_forked += forked
             self._c_forks.inc(forked)
-            if self.attr is not None:
-                self.attr.on_fork(forked)
+            if self._ledger_on:
+                self._ledger.count("fork", forked)
             if self._tracer.enabled:
                 self._tracer.emit("fork", state_id=state.state_id,
                                   pc=state.pc, indirect=True,
@@ -743,12 +733,11 @@ class Engine:
 
     def _exec_block(self, state: SymState,
                     decoded) -> List[Tuple[SymState, _Outcome]]:
-        if self._compiled is not None and (
-                self.attr is None or not self.attr.deep):
+        if self._compiled is not None and not self._ledger.deep:
             # Specialized path: pre-compiled plan, cached field terms.
             # Deep attribution steps fall back to the interpreted walk
-            # so the per-IR-kind probes (`repro hot`) still see every
-            # node — attr is observe-only and forces identical
+            # so the per-IR-kind scopes (`repro hot`) still see every
+            # node — accounting is observe-only and forces identical
             # evaluation order, so fingerprints cannot shift.
             from ..compile import symbolic as _compiled_sym
             plan = self._compiled.plans[decoded.instruction.name]
@@ -854,12 +843,11 @@ class Engine:
         branches = ((cond, stmt.then_body), (T.not_(cond), stmt.else_body))
         feasible = []
         # On a deep attribution step the feasibility probes run under a
-        # synthetic IfStmt frame, so their solver time shows up as
+        # synthetic IfStmt scope, so their solver time shows up as
         # isa;rule;IfStmt;solver in the flamegraph (branch blame).
-        attr = self.attr
-        probe = attr is not None and attr.deep
+        probe = self._ledger.deep
         if probe:
-            attr.ir_enter("IfStmt")
+            self._ledger.enter("eval", "IfStmt")
         try:
             for branch_cond, body in branches:
                 verdict, model, memo = self._branch_feasible(state,
@@ -868,7 +856,7 @@ class Engine:
                     feasible.append((branch_cond, body, model, memo))
         finally:
             if probe:
-                attr.ir_exit()
+                self._ledger.exit()
         for position, (branch_cond, body, model, memo) in enumerate(feasible):
             last = position == len(feasible) - 1
             branch_state = state if last else state.fork()
@@ -1115,8 +1103,8 @@ class Engine:
 
     def _load(self, state: SymState, addr: T.Term, size: int, guards,
               decoded) -> T.Term:
-        if self._profile_on:
-            with self._profiler.phase("memory"):
+        if self._ledger_on:
+            with self._ledger.scope("memory"):
                 return self._load_inner(state, addr, size, guards, decoded)
         return self._load_inner(state, addr, size, guards, decoded)
 
@@ -1142,8 +1130,8 @@ class Engine:
 
     def _store(self, state: SymState, addr: T.Term, value: T.Term,
                size: int, decoded) -> None:
-        if self._profile_on:
-            with self._profiler.phase("memory"):
+        if self._ledger_on:
+            with self._ledger.scope("memory"):
                 self._store_inner(state, addr, value, size, decoded)
             return
         self._store_inner(state, addr, value, size, decoded)

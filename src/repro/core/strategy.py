@@ -148,38 +148,31 @@ class CoverageStrategy(Strategy):
 class ObservedStrategy(Strategy):
     """Telemetry shim around any frontier (see :mod:`repro.obs`).
 
-    Counts pushes/pops, tracks the high-water frontier size, and charges
-    frontier operations to the ``strategy`` profiler phase.  The engine
-    wraps its strategy with this when observability is enabled; the
-    wrapped strategy is reachable as ``.inner`` (one level of wrapping
-    only — the merging frontier sits *inside* so merges are observed
-    too).
+    Counts pushes/pops, tracks the high-water frontier size, and times
+    frontier operations as the cost ledger's ``strategy`` layer.  The
+    engine wraps its strategy with this when the ledger or the tracer is
+    on; the wrapped strategy is reachable as ``.inner`` (one level of
+    wrapping only — the merging frontier sits *inside* so merges are
+    observed too).
     """
 
     name = "observed"
 
     def __init__(self, inner: Strategy, obs):
         self.inner = inner
-        self._profiler = obs.profiler
-        self._profile_on = obs.profiler.enabled
+        self._ledger = obs.ledger
         self._pushes = obs.metrics.counter("strategy.pushes")
         self._pops = obs.metrics.counter("strategy.pops")
         self._peak = obs.metrics.gauge("strategy.frontier_peak")
 
     def push(self, state: SymState) -> None:
-        if self._profile_on:
-            with self._profiler.phase("strategy"):
-                self.inner.push(state)
-        else:
+        with self._ledger.scope("strategy"):
             self.inner.push(state)
         self._pushes.inc()
         self._peak.set_max(len(self.inner))
 
     def pop(self) -> SymState:
-        if self._profile_on:
-            with self._profiler.phase("strategy"):
-                state = self.inner.pop()
-        else:
+        with self._ledger.scope("strategy"):
             state = self.inner.pop()
         self._pops.inc()
         return state

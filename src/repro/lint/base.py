@@ -5,9 +5,9 @@ A lint pass is a small object with an ``id``, a human ``title``, a
 solver queries), and a :meth:`LintPass.run` method that yields
 :class:`~repro.lint.findings.Finding` objects.  Passes register
 themselves with :func:`register`, and the runner
-(:mod:`repro.lint.runner`) executes every enabled pass under a profiler
-phase so ``repro lint`` reports per-pass wall time like any other
-subsystem phase.
+(:mod:`repro.lint.runner`) times every enabled pass as one layer of the
+cost ledger so ``repro lint`` reports per-pass wall time like any other
+subsystem layer.
 
 The :class:`LintContext` hands passes a *tolerantly* analyzed spec:
 encoding layout and decode patterns are always present, but individual

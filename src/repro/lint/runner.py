@@ -6,15 +6,15 @@ ambiguity does not abort analysis (the SMT ambiguity pass reports every
 pair with witnesses), and per-instruction translation failures are
 collected instead of raised (inline IR validation is turned off so the
 ``ir-width`` pass can diagnose invalid blocks itself) — then executes
-every enabled pass under an :class:`~repro.obs.Obs` profiler phase
-(``lint.<pass-id>``) and emits ``lint.*`` counters so ``repro stats``
+every enabled pass as one ``lint.<pass-id>`` layer of the
+:class:`~repro.obs.Obs` cost ledger (whose clock also gives the
+``--timings`` figures) and emits ``lint.*`` counters so ``repro stats``
 can report lint runs like any other subsystem.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import adl
@@ -133,7 +133,7 @@ def run_lint(spec_or_path: str, config: Optional[LintConfig] = None,
     config = config or LintConfig()
     obs = obs or Obs.default()
     spec_name, path = resolve_spec(spec_or_path)
-    with obs.profiler.phase("lint.front-end"):
+    with obs.ledger.scope("lint.front-end"):
         spec, ir_blocks, translate_errors = _front_end(path)
     ctx = LintContext(spec, path, ir_blocks, translate_errors,
                       solver_factory=config.solver_factory)
@@ -141,10 +141,8 @@ def run_lint(spec_or_path: str, config: Optional[LintConfig] = None,
     for lint_pass in config.selected_passes():
         ctx.solver_seconds = 0.0
         ctx.solver_checks = 0
-        start = time.perf_counter()
-        with obs.profiler.phase("lint.%s" % lint_pass.id):
-            findings = list(lint_pass.run(ctx))
-        elapsed = time.perf_counter() - start
+        findings, elapsed = obs.ledger.timed(
+            "lint.%s" % lint_pass.id, _drain, lint_pass, ctx)
         report.extend(findings)
         report.passes_run.append(lint_pass.id)
         report.timings.append(PassTiming(
@@ -154,6 +152,10 @@ def run_lint(spec_or_path: str, config: Optional[LintConfig] = None,
     report.finalize()
     _emit_metrics(obs, report)
     return report
+
+
+def _drain(lint_pass: LintPass, ctx: LintContext) -> list:
+    return list(lint_pass.run(ctx))
 
 
 def run_lint_all(config: Optional[LintConfig] = None,

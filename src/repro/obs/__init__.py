@@ -6,8 +6,9 @@ One :class:`Obs` handle bundles the three telemetry layers:
   (counters / gauges / histograms; cheap, enabled by default),
 * ``obs.tracer``   — :class:`~repro.obs.events.EventTracer`
   (typed events to pluggable sinks; disabled until a sink is attached),
-* ``obs.profiler`` — :class:`~repro.obs.profile.PhaseProfiler`
-  (per-phase wall-time breakdown; opt-in, ``--profile``).
+* ``obs.ledger``   — :class:`~repro.obs.ledger.Ledger`
+  (the cost ledger: per-layer time, and per-rule / IR-kind / branch-site
+  attribution; opt-in, ``--profile`` / ``--attr``).
 
 The engine owns one ``Obs`` (threaded through
 :class:`~repro.core.executor.EngineConfig`); the solver, decoder and
@@ -21,13 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .attr import (  # noqa: F401
-    AttrConfig,
-    CostAttribution,
-    annotate_spec_costs,
-    hot_report,
-    hot_rules_lines,
-)
+from .attr import annotate_spec_costs, hot_report, hot_rules_lines  # noqa: F401,E501
 from .compare import (  # noqa: F401
     DiffRow,
     RunComparison,
@@ -70,7 +65,7 @@ from .metrics import (  # noqa: F401
     MetricsRegistry,
 )
 from .flame import chrome_trace, collapsed_stacks, render_collapsed  # noqa: F401,E501
-from .profile import PhaseProfiler, PhaseStats  # noqa: F401
+from .ledger import AttrConfig, Ledger  # noqa: F401
 from .prom import MetricsServer, render_prom, render_prom_snapshot  # noqa: F401
 from .sinks import (  # noqa: F401
     ConsoleSink,
@@ -90,12 +85,11 @@ from .speccov import (  # noqa: F401
 from .tree import ExecutionTree, FlightRecorder, TreeEdge, TreeNode  # noqa: F401
 
 __all__ = ["Obs", "MetricsRegistry", "Counter", "Gauge", "Histogram",
-           "AttrConfig", "CostAttribution", "annotate_spec_costs",
+           "AttrConfig", "Ledger", "annotate_spec_costs",
            "hot_report", "hot_rules_lines",
            "chrome_trace", "collapsed_stacks", "render_collapsed",
            "EventTracer", "Event", "EVENT_KINDS", "SCHEMA_VERSION",
-           "PhaseProfiler",
-           "PhaseStats", "RingBufferSink", "JsonlSink", "ConsoleSink",
+           "RingBufferSink", "JsonlSink", "ConsoleSink",
            "read_jsonl", "read_run", "load_run", "RunFile",
            "TelemetryError",
            "ExecutionTree", "FlightRecorder", "TreeEdge", "TreeNode",
@@ -111,19 +105,19 @@ __all__ = ["Obs", "MetricsRegistry", "Counter", "Gauge", "Histogram",
 
 
 class Obs:
-    """Bundle of metrics registry, event tracer and phase profiler."""
+    """Bundle of metrics registry, event tracer and cost ledger."""
 
     def __init__(self, metrics: bool = True, profile: bool = False,
                  isa: str = "?"):
         self.metrics = MetricsRegistry(enabled=metrics)
         self.tracer = EventTracer(isa=isa)
-        self.profiler = PhaseProfiler(enabled=profile)
+        self.ledger = Ledger(enabled=profile, metrics=self.metrics)
 
     # -- canned configurations ---------------------------------------------
 
     @classmethod
     def default(cls) -> "Obs":
-        """Enabled counters, no event sink, no profiler (the engine
+        """Enabled counters, no event sink, no ledger (the engine
         default: negligible overhead, still countable)."""
         return cls(metrics=True, profile=False)
 
@@ -137,7 +131,7 @@ class Obs:
     @property
     def enabled(self) -> bool:
         return (self.metrics.enabled or self.tracer.enabled
-                or self.profiler.enabled)
+                or self.ledger.enabled)
 
     def set_isa(self, isa: str) -> None:
         self.tracer.isa = isa
@@ -145,20 +139,27 @@ class Obs:
     def add_sink(self, sink) -> None:
         self.tracer.add_sink(sink)
 
-    def snapshot(self, counters_since: Optional[Dict[str, int]] = None
+    def mark(self) -> Dict[str, object]:
+        """Start of one exploration, for :meth:`snapshot`'s ``since``."""
+        return {"counters": self.metrics.counters_snapshot(),
+                "ledger": self.ledger.mark()}
+
+    def snapshot(self, since: Optional[Dict[str, object]] = None
                  ) -> Dict[str, object]:
         """One JSON-able view of all three layers.
 
-        ``counters_since`` (a ``metrics.counters_snapshot()``) scopes the
-        counter section to a single exploration on a long-lived engine.
+        ``since`` (a :meth:`mark`) scopes the counters and the ledger's
+        layer view to a single exploration on a long-lived engine.
         """
+        since = since or {}
         metrics = self.metrics.snapshot()
-        if counters_since is not None:
-            metrics["counters"] = self.metrics.delta_since(counters_since)
+        if "counters" in since:
+            metrics["counters"] = self.metrics.delta_since(
+                since["counters"])
         return {
             "isa": self.tracer.isa,
             "metrics": metrics,
-            "phases": self.profiler.snapshot(),
+            "phases": self.ledger.snapshot(since.get("ledger")),
             "events_emitted": self.tracer.emitted,
         }
 

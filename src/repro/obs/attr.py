@@ -1,399 +1,19 @@
-"""Rule-level cost attribution: *which* spec rules pay for the run.
+"""Offline renderers for the ``attr`` block: *which* spec rules pay.
 
-The phase profiler (:mod:`repro.obs.profile`) answers "how much time
-goes to ``eval`` vs ``solver``"; this module answers the porter's next
-question — *which ADL semantic rules, IR node kinds and branch sites*
-that time is spent on.  Costs are charged at three granularities:
-
-* **rules** — every executed instruction is attributed to its semantic
-  rule (the ``instruction`` block, via the
-  :class:`~repro.adl.translate.RuleProvenance` table the translator
-  threads into the :class:`~repro.isa.model.ArchModel`), accumulating
-  evaluation wall time, solver check time, cache hits/misses, forks and
-  term-pool allocations per rule;
-* **IR node kinds** — inside a *deep* step the engine's recursive
-  ``_eval`` is probed, so ``BinOp:add`` vs ``Load`` vs ``IteExpr`` get
-  their own inclusive/self timings (self time excludes nested kinds and
-  solver work, profiler-style);
-* **branch sites** — solver time is blamed on the guest pc that issued
-  the query, so one hot branch shows up as one hot address.
-
-**Sampling.**  Rule-level charging (steps, eval time, solver time,
-forks) happens on *every* step — two clock reads — so rule totals
-reconcile with the phase profiler in every mode.  The expensive parts
-(per-IR-node probing, term-pool deltas) run only on every
-``sample_every``-th step ("deep" steps); ``mode="full"`` makes every
-step deep.
-
-**Reconciliation contract** (pinned by ``tests/obs/test_attr.py``):
-with the profiler enabled, attribution's eval/solver *call counts*
-equal the ``eval``/``solver`` phase call counts exactly, and the
-attributed times agree within 5% — the attribution window encloses the
-phase scope, so attr time is a hair larger, never smaller.
-
-The :meth:`CostAttribution.snapshot` dict is the wire format: it rides
-in ``result.telemetry["attr"]`` (schema-v5 sidecar ``run_summary``
-blocks), is persisted as ``attr.json`` in the run store, and is what
-the offline renderers (:func:`hot_report`,
-:func:`annotate_spec_costs`, :mod:`repro.obs.flame`) and the
-``repro hot`` CLI consume.
+The block itself is the rule/IR-kind/branch-site view of the cost
+ledger (:func:`repro.obs.ledger.attr_view`).  It rides in
+``result.telemetry["attr"]`` (schema-v5 sidecar ``run_summary``
+blocks) and is persisted as ``attr.json`` in the run store.  These pure
+functions over the JSON-able block back the ``repro hot`` and
+``repro stats`` tables and the spec heat map; :mod:`repro.obs.flame`
+renders the same block as flamegraphs and Chrome traces.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional
 
-from ..ir import nodes as N
-
-__all__ = ["AttrConfig", "CostAttribution", "ATTR_SCHEMA_VERSION",
-           "hot_report", "hot_rules_lines", "annotate_spec_costs",
-           "ir_kind"]
-
-#: Version of the ``attr`` snapshot block (independent of the event
-#: schema version; bumped when the block's shape changes).
-ATTR_SCHEMA_VERSION = 1
-
-#: Pseudo-rule charged for solver work issued outside any instruction
-#: (e.g. a feasibility probe before the first step).
-ENGINE_BUCKET = "(engine)"
-
-
-class AttrConfig:
-    """Tunables for cost attribution (observe-only; never serialized
-    into the run-store key — attribution must not change outcomes)."""
-
-    MODES = ("sampled", "full")
-
-    def __init__(self, mode: str = "sampled", sample_every: int = 16):
-        if mode not in self.MODES:
-            raise ValueError("attr mode must be one of %r, got %r"
-                             % (self.MODES, mode))
-        self.mode = mode
-        # In full mode every step is deep; sampled mode probes every
-        # Nth step (N >= 1) so the always-on overhead stays bounded.
-        self.sample_every = 1 if mode == "full" else max(1, int(sample_every))
-
-
-def ir_kind(expr) -> str:
-    """Attribution label for one IR expression node.  ``BinOp``/``UnOp``
-    carry their operator so ``BinOp:add`` and ``BinOp:udiv`` separate."""
-    name = expr.__class__.__name__
-    if isinstance(expr, (N.BinOp, N.UnOp)):
-        return "%s:%s" % (name, expr.op)
-    return name
-
-
-class _IrCost:
-    """Per-(rule, IR kind) timing: calls, inclusive, self."""
-
-    __slots__ = ("calls", "total", "self_time")
-
-    def __init__(self):
-        self.calls = 0
-        self.total = 0.0
-        self.self_time = 0.0
-
-
-class _RuleCost:
-    """Everything charged to one semantic rule."""
-
-    __slots__ = ("steps", "eval_s", "solver_s", "solver_checks",
-                 "cache_hits", "cache_misses", "forks", "term_allocs",
-                 "ir", "solver_by_ir")
-
-    def __init__(self):
-        self.steps = 0
-        self.eval_s = 0.0
-        self.solver_s = 0.0
-        self.solver_checks = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.forks = 0
-        self.term_allocs = 0
-        self.ir: Dict[str, _IrCost] = {}
-        self.solver_by_ir: Dict[str, float] = {}
-
-
-class _SiteCost:
-    """Costs blamed on one guest pc (branch/query site)."""
-
-    __slots__ = ("rule", "steps", "solver_s", "solver_checks",
-                 "cache_hits", "forks")
-
-    def __init__(self, rule: str):
-        self.rule = rule
-        self.steps = 0
-        self.solver_s = 0.0
-        self.solver_checks = 0
-        self.cache_hits = 0
-        self.forks = 0
-
-
-class CostAttribution:
-    """The live accumulator the engine and solver charge into.
-
-    Wired by :class:`~repro.core.executor.Engine` (context + eval/fork
-    charges) and :meth:`~repro.smt.solver.Solver.attach_attr` (solver
-    charges).  Like the profiler it accumulates over the engine's
-    lifetime; one ``explore()`` per engine (the common case) makes the
-    snapshot per-exploration.
-    """
-
-    def __init__(self, config: Optional[AttrConfig] = None, model=None,
-                 metrics=None):
-        self.config = config if config is not None else AttrConfig()
-        self.isa = getattr(model, "name", "?")
-        self._provenance = dict(getattr(model, "rules", None) or {})
-        self._source = getattr(model, "source_path", None)
-        self.rules: Dict[str, _RuleCost] = {}
-        self.sites: Dict[int, _SiteCost] = {}
-        self.steps = 0
-        self.deep_steps = 0
-        # Running totals (the reconcile side of the ledger).
-        self.eval_calls = 0
-        self.eval_s = 0.0
-        self.solver_checks = 0
-        self.solver_s = 0.0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.forks = 0
-        # Current step context (rule name + pc) and deep-step state.
-        self._rule = ENGINE_BUCKET
-        self._pc: Optional[int] = None
-        self._rule_cost = self._rule_for(ENGINE_BUCKET)
-        self._site_cost: Optional[_SiteCost] = None
-        self.deep = False
-        self._ir_stack: List[list] = []   # [kind, start, child_time]
-        self._pool = None                 # bound lazily (term pool)
-        self._pool_mark = 0
-        # attr.* metrics (rendered by repro.obs.prom like every other
-        # metric); NULL objects when metrics are off.
-        from .metrics import NULL_COUNTER, NULL_HISTOGRAM
-        self._h_eval = NULL_HISTOGRAM
-        self._h_solver = NULL_HISTOGRAM
-        self._c_steps = NULL_COUNTER
-        self._c_deep = NULL_COUNTER
-        if metrics is not None:
-            self._h_eval = metrics.histogram("attr.step_eval_ms")
-            self._h_solver = metrics.histogram("attr.solver_ms")
-            self._c_steps = metrics.counter("attr.steps")
-            self._c_deep = metrics.counter("attr.deep_steps")
-
-    # -- engine-side charging ------------------------------------------------
-
-    def _rule_for(self, name: str) -> _RuleCost:
-        cost = self.rules.get(name)
-        if cost is None:
-            cost = self.rules[name] = _RuleCost()
-        return cost
-
-    def begin_step(self, rule: str, pc: int) -> bool:
-        """Set the (rule, pc) context for one instruction; returns
-        whether this step is *deep* (per-IR-node probing on)."""
-        self.steps += 1
-        self._c_steps.inc()
-        self._rule = rule
-        self._pc = pc
-        cost = self._rule_for(rule)
-        cost.steps += 1
-        self._rule_cost = cost
-        site = self.sites.get(pc)
-        if site is None:
-            site = self.sites[pc] = _SiteCost(rule)
-        site.steps += 1
-        self._site_cost = site
-        deep = (self.steps - 1) % self.config.sample_every == 0
-        self.deep = deep
-        if deep:
-            self.deep_steps += 1
-            self._c_deep.inc()
-            if self._pool is None:
-                from ..smt import terms as T
-                self._pool = T.get_pool()
-            self._pool_mark = self._pool.misses
-            del self._ir_stack[:]
-        return deep
-
-    def end_step(self, elapsed: float) -> None:
-        """Charge one instruction's evaluation wall time (every step —
-        this is what reconciles with the ``eval`` phase)."""
-        self.eval_calls += 1
-        self.eval_s += elapsed
-        self._rule_cost.eval_s += elapsed
-        if self.deep:
-            self._rule_cost.term_allocs += \
-                self._pool.misses - self._pool_mark
-            self._h_eval.observe(elapsed * 1000.0)
-            self.deep = False
-            del self._ir_stack[:]
-
-    def on_fork(self, count: int) -> None:
-        self.forks += count
-        self._rule_cost.forks += count
-        site = self._site_cost
-        if site is not None:
-            site.forks += count
-
-    # -- IR probing (deep steps only) ----------------------------------------
-
-    def ir_enter(self, kind: str) -> None:
-        self._ir_stack.append([kind, time.perf_counter(), 0.0])
-
-    def ir_exit(self) -> None:
-        kind, start, child = self._ir_stack.pop()
-        elapsed = time.perf_counter() - start
-        table = self._rule_cost.ir
-        cost = table.get(kind)
-        if cost is None:
-            cost = table[kind] = _IrCost()
-        cost.calls += 1
-        cost.total += elapsed
-        cost.self_time += elapsed - child
-        if self._ir_stack:
-            self._ir_stack[-1][2] += elapsed
-
-    # -- solver-side charging (Solver.attach_attr) ---------------------------
-
-    def on_solver_check(self, elapsed: float, result: str) -> None:
-        """One *solved* query (cache answers go through
-        :meth:`on_solver_cache` instead, mirroring the profiler's
-        accounting contract)."""
-        self.solver_checks += 1
-        self.solver_s += elapsed
-        cost = self._rule_cost
-        cost.solver_checks += 1
-        cost.solver_s += elapsed
-        site = self._site_cost
-        if site is not None:
-            site.solver_checks += 1
-            site.solver_s += elapsed
-        if self._ir_stack:
-            frame = self._ir_stack[-1]
-            # Solver time inside an IR frame is the frame's child time,
-            # so IR self time stays pure interpretation.
-            frame[2] += elapsed
-            kind = frame[0]
-            cost.solver_by_ir[kind] = \
-                cost.solver_by_ir.get(kind, 0.0) + elapsed
-        self._h_solver.observe(elapsed * 1000.0)
-
-    def on_solver_cache(self, layer: str) -> None:
-        self.cache_hits += 1
-        self._rule_cost.cache_hits += 1
-        site = self._site_cost
-        if site is not None:
-            site.cache_hits += 1
-
-    def on_cache_miss(self) -> None:
-        self.cache_misses += 1
-        self._rule_cost.cache_misses += 1
-
-    # -- snapshot -------------------------------------------------------------
-
-    def snapshot(self, profiler=None) -> Dict[str, object]:
-        """The JSON-able ``attr`` block (see module docstring).
-
-        ``profiler`` (a :class:`~repro.obs.profile.PhaseProfiler`)
-        contributes the ``reconcile`` section comparing attribution
-        totals against the ``eval``/``solver`` phase totals.
-        """
-        rules: Dict[str, Dict[str, object]] = {}
-        for name, cost in self.rules.items():
-            if cost.steps == 0 and cost.solver_checks == 0 \
-                    and cost.cache_hits == 0:
-                continue
-            entry: Dict[str, object] = {
-                "steps": cost.steps,
-                "eval_s": cost.eval_s,
-                "solver_s": cost.solver_s,
-                "solver_checks": cost.solver_checks,
-                "cache_hits": cost.cache_hits,
-                "cache_misses": cost.cache_misses,
-                "forks": cost.forks,
-                "term_allocs": cost.term_allocs,
-            }
-            rule = self._provenance.get(name)
-            if rule is not None:
-                entry["mnemonic"] = rule.mnemonic
-                entry["lines"] = [rule.line_lo, rule.line_hi]
-            if cost.ir:
-                entry["ir"] = {
-                    kind: {"calls": ir.calls, "total_s": ir.total,
-                           "self_s": ir.self_time}
-                    for kind, ir in sorted(cost.ir.items())}
-            if cost.solver_by_ir:
-                entry["solver_by_ir"] = dict(sorted(
-                    cost.solver_by_ir.items()))
-            rules[name] = entry
-        ir_rollup: Dict[str, Dict[str, float]] = {}
-        for cost in self.rules.values():
-            for kind, ir in cost.ir.items():
-                agg = ir_rollup.setdefault(
-                    kind, {"calls": 0, "total_s": 0.0, "self_s": 0.0,
-                           "solver_s": 0.0})
-                agg["calls"] += ir.calls
-                agg["total_s"] += ir.total
-                agg["self_s"] += ir.self_time
-            for kind, seconds in cost.solver_by_ir.items():
-                agg = ir_rollup.setdefault(
-                    kind, {"calls": 0, "total_s": 0.0, "self_s": 0.0,
-                           "solver_s": 0.0})
-                agg["solver_s"] += seconds
-        sites = {
-            "%#x" % pc: {"rule": site.rule, "steps": site.steps,
-                         "solver_s": site.solver_s,
-                         "solver_checks": site.solver_checks,
-                         "cache_hits": site.cache_hits,
-                         "forks": site.forks}
-            for pc, site in sorted(self.sites.items())
-            if site.solver_checks or site.forks or site.cache_hits}
-        block: Dict[str, object] = {
-            "version": ATTR_SCHEMA_VERSION,
-            "isa": self.isa,
-            "source": self._source,
-            "mode": self.config.mode,
-            "sample_every": self.config.sample_every,
-            "steps": self.steps,
-            "deep_steps": self.deep_steps,
-            "eval_calls": self.eval_calls,
-            "eval_s": self.eval_s,
-            "solver_checks": self.solver_checks,
-            "solver_s": self.solver_s,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "forks": self.forks,
-            "rules": dict(sorted(rules.items())),
-            "ir": dict(sorted(ir_rollup.items())),
-            "sites": sites,
-        }
-        if profiler is not None and getattr(profiler, "enabled", False):
-            phases = profiler.snapshot()
-            block["reconcile"] = {
-                "eval": {
-                    "attr_calls": self.eval_calls,
-                    "phase_calls": phases.get("eval", {}).get("calls", 0),
-                    "attr_s": self.eval_s,
-                    "phase_s": phases.get("eval", {}).get("total_s", 0.0),
-                },
-                "solver": {
-                    "attr_calls": self.solver_checks,
-                    "phase_calls": phases.get("solver", {}).get("calls", 0),
-                    "attr_s": self.solver_s,
-                    "phase_s": phases.get("solver", {}).get("total_s", 0.0),
-                },
-            }
-        return block
-
-    def report(self, top: int = 10) -> str:
-        return hot_report(self.snapshot(), top=top)
-
-    def __repr__(self):
-        return ("<CostAttribution %s steps=%d rules=%d solver=%.4fs>"
-                % (self.isa, self.steps, len(self.rules), self.solver_s))
-
-
-# -- offline rendering (operates on snapshot dicts) ---------------------------
+__all__ = ["hot_report", "hot_rules_lines", "annotate_spec_costs"]
 
 
 def _rule_rows(block: Dict[str, object]) -> List[dict]:
@@ -508,18 +128,6 @@ def hot_report(block, top: int = 10, min_share: float = 0.0) -> str:
                             int(entry.get("solver_checks", 0) or 0),
                             int(entry.get("cache_hits", 0) or 0),
                             int(entry.get("forks", 0) or 0)))
-    reconcile = block.get("reconcile")
-    if isinstance(reconcile, dict):
-        for phase in ("eval", "solver"):
-            entry = reconcile.get(phase)
-            if isinstance(entry, dict):
-                lines.append(
-                    "reconcile %-6s attr %s calls / %.2fms vs phase "
-                    "%s calls / %.2fms"
-                    % (phase, entry.get("attr_calls"),
-                       float(entry.get("attr_s", 0.0)) * 1e3,
-                       entry.get("phase_calls"),
-                       float(entry.get("phase_s", 0.0)) * 1e3))
     return "\n".join(lines)
 
 

@@ -1,7 +1,7 @@
 """Flamegraph + Chrome-trace rendering of ``attr`` snapshot blocks.
 
 Both renderers are pure functions over the JSON-able snapshot produced
-by :meth:`repro.obs.attr.CostAttribution.snapshot`, so they work
+by :func:`repro.obs.ledger.attr_view`, so they work
 offline from a telemetry sidecar's ``run_summary`` block or a
 run-store ``attr.json`` artifact — the ``repro hot --flame/--trace``
 round trip.

@@ -1,7 +1,7 @@
 """Live exploration health monitor: periodic sampler + stall/pressure
 watchdog.
 
-The telemetry stack (metrics / events / profiler / flight recorder)
+The telemetry stack (metrics / events / cost ledger / flight recorder)
 explains a run *after* it finishes; this module gives the engine a
 heartbeat **while exploration is running**.  A retargetable engine
 pointed at an unfamiliar ADL spec is exactly the workload that goes

@@ -210,7 +210,7 @@ class StoredRun:
             return None
 
     def attr(self) -> Optional[Dict[str, object]]:
-        """The cost-attribution profile (``repro.obs.attr`` snapshot
+        """The cost-attribution profile (the ledger's ``attr``
         block), or None — runs recorded without ``--attr`` (or by older
         code) simply have no profile; a corrupt artifact degrades to
         None, never errors (``repro hot`` reports it as missing)."""

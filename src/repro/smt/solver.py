@@ -11,7 +11,7 @@ order on every :meth:`check` call, cheapest first:
    replayed against new queries (KLEE-style counterexample caching).
    Cache answers bypass the solving layers entirely: they are *not*
    counted as solver work (no ``solver_check`` event, no ``solver``
-   profiler phase, no ``solver.check_ms`` observation) — they emit
+   ledger scope, no ``solver.check_ms`` observation) — they emit
    ``solver_cache`` events and ``solver.cache_*`` counters instead.
 1. **Model cache** — recently found models (plus the all-zero assignment)
    are replayed through the term evaluator; symbolic-execution workloads
@@ -30,7 +30,6 @@ Layers 0–2 can be disabled (``use_query_cache`` / ``use_model_cache`` /
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional
 
@@ -54,7 +53,7 @@ class SolverStats:
     ``checks`` counts every :meth:`Solver.check` call; the ``cache_*``
     and ``frame_reuse`` counters partition the calls the query-cache
     layer answered, and those calls add nothing to ``solve_time``,
-    the ``solver`` profiler phase, the ``solver.check_ms`` histogram or
+    the ``solver`` ledger layer, the ``solver.check_ms`` histogram or
     the ``solver_check`` event count — cached hits never inflate the
     solver's measured work.
     """
@@ -121,11 +120,10 @@ class Solver:
             if use_query_cache else None
         self.stats = SolverStats()
         # Observability (attached by the engine; see repro.obs).
+        from ..obs.ledger import Ledger
         from ..obs.metrics import NULL_COUNTER, NULL_HISTOGRAM
-        from ..obs.profile import PhaseProfiler
         self._obs_tracer = None
-        self._obs_profiler = PhaseProfiler(enabled=False)
-        self._attr = None
+        self._ledger = Ledger(enabled=False)
         self._check_hist = NULL_HISTOGRAM
         self._c_cache_hit = NULL_COUNTER
         self._c_cache_model_reuse = NULL_COUNTER
@@ -136,19 +134,21 @@ class Solver:
     def attach_obs(self, obs) -> None:
         """Wire an :class:`repro.obs.Obs` handle into this solver.
 
-        Adds a ``solver`` profiler phase around every *solved* query, a
-        ``solver.check_ms`` latency histogram, and (when the tracer has a
-        sink) one ``solver_check`` event per solved query, attributed to
-        the engine's current state/pc context.  Query-cache answers are
-        counted separately — ``solver.cache_hit`` /
-        ``solver.cache_model_reuse`` / ``solver.cache_subsumed`` /
-        ``solver.cache_miss`` / ``solver.frame_reuse`` counters and one
-        ``solver_cache`` event per hit — and deliberately skip the
-        solver phase, histogram and ``solver_check`` event so cached
-        hits never inflate measured solver work.
+        Every *solved* query runs under a ``solver`` scope of the cost
+        ledger (charged to the engine's current rule/pc/IR context when
+        attribution is on) and feeds a ``solver.check_ms`` latency
+        histogram and (when the tracer has a sink) one ``solver_check``
+        event.  Query-cache answers are counted separately —
+        ``solver.cache_hit`` / ``solver.cache_model_reuse`` /
+        ``solver.cache_subsumed`` / ``solver.cache_miss`` /
+        ``solver.frame_reuse`` counters, a ledger ``cache_hit`` /
+        ``cache_miss`` count and one ``solver_cache`` event per hit —
+        and deliberately skip the solver scope, histogram and
+        ``solver_check`` event so cached hits never inflate measured
+        solver work.
         """
         self._obs_tracer = obs.tracer
-        self._obs_profiler = obs.profiler
+        self._ledger = obs.ledger
         self._check_hist = obs.metrics.histogram("solver.check_ms")
         metrics = obs.metrics
         self._c_cache_hit = metrics.counter("solver.cache_hit")
@@ -157,16 +157,6 @@ class Solver:
         self._c_cache_subsumed = metrics.counter("solver.cache_subsumed")
         self._c_cache_miss = metrics.counter("solver.cache_miss")
         self._c_frame_reuse = metrics.counter("solver.frame_reuse")
-
-    def attach_attr(self, attr) -> None:
-        """Wire a :class:`repro.obs.attr.CostAttribution` accumulator.
-
-        Mirrors the profiler's accounting contract: every *solved*
-        query charges its elapsed time to the engine's current
-        rule/pc/IR context (``on_solver_check``); query-cache answers
-        and frame reuse charge only a cache hit (``on_solver_cache``),
-        never solver time."""
-        self._attr = attr
 
     # -- assertion management -------------------------------------------------
 
@@ -208,20 +198,11 @@ class Solver:
                 return cached
             self.stats.cache_misses += 1
             self._c_cache_miss.inc()
-            if self._attr is not None:
-                self._attr.on_cache_miss()
-        profiler = self._obs_profiler
-        start = time.perf_counter()
+            self._ledger.count("cache_miss")
         skip_models = key is not None  # the cache probe already replayed them
-        try:
-            if profiler.enabled:
-                with profiler.phase("solver"):
-                    result = self._check(conds, skip_models)
-            else:
-                result = self._check(conds, skip_models)
-        finally:
-            elapsed = time.perf_counter() - start
-            self.stats.solve_time += elapsed
+        result, elapsed = self._ledger.timed("solver", self._check, conds,
+                                             skip_models)
+        self.stats.solve_time += elapsed
         self._check_hist.observe(elapsed * 1000.0)
         if result == SAT:
             self.stats.sat_results += 1
@@ -230,8 +211,6 @@ class Solver:
         if key is not None:
             self.query_cache.store(
                 key, result, self._last_model if result == SAT else None)
-        if self._attr is not None:
-            self._attr.on_solver_check(elapsed, result)
         tracer = self._obs_tracer
         if tracer is not None and tracer.enabled:
             tracer.emit("solver_check", result=result,
@@ -245,7 +224,7 @@ class Solver:
 
         Returns the cached verdict, or None when the query must be
         solved.  Answers here touch none of the solver-work telemetry
-        (``solve_time`` / ``solver`` phase / ``solver.check_ms`` /
+        (``solve_time`` / ``solver`` ledger scope / ``solver.check_ms`` /
         ``solver_check`` events); they count under ``cache_*`` stats and
         emit one ``solver_cache`` event instead.
         """
@@ -289,8 +268,7 @@ class Solver:
         return None
 
     def _emit_cache_event(self, layer: str, result: str) -> None:
-        if self._attr is not None:
-            self._attr.on_solver_cache(layer)
+        self._ledger.count("cache_hit")
         tracer = self._obs_tracer
         if tracer is not None and tracer.enabled:
             tracer.emit("solver_cache", layer=layer, result=result)

@@ -140,7 +140,7 @@ def test_deep_attr_step_falls_back_without_changing_fingerprints():
     """Cost attribution's deep steps run interpreted (the per-IR-kind
     probes need the recursive walk); fingerprints must still match a
     fully interpreted exploration, attr being observe-only."""
-    from repro.obs.attr import AttrConfig
+    from repro.obs import AttrConfig
 
     model, image = build_kernel("exerciser", "rv32")
     baseline = _explore_kernel("rv32", "exerciser", compiled=False)

@@ -140,7 +140,7 @@ class TestRunner:
         assert counters["lint.findings.error"] == len(report.errors())
         assert counters["lint.passes_run"] == len(report.passes_run)
         assert counters["lint.solver.checks"] >= 1
-        phases = obs.profiler.snapshot()
+        phases = obs.ledger.snapshot()
         assert any(name.startswith("lint.") for name in phases)
 
 

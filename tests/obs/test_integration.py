@@ -118,6 +118,29 @@ class TestPerExplorationDeltas:
         assert c2["engine.paths"] == len(second.paths)
         assert c2["engine.steps"] <= c1["engine.steps"]
 
+    def test_second_explore_reports_own_ledger_views(self):
+        from repro.obs import AttrConfig
+
+        model, image = build_kernel("maze", "rv32", depth=5, solution=3)
+        engine = Engine(model, config=EngineConfig(
+            obs=Obs(metrics=True, profile=True), attr=AttrConfig()))
+        engine.load_image(image)
+        first = engine.explore()
+        second = engine.explore()
+        assert second.instructions_executed == first.instructions_executed
+        for result in (first, second):
+            phases = result.telemetry["phases"]
+            attr = result.telemetry["attr"]
+            steps = result.instructions_executed
+            assert phases["eval"]["calls"] == steps
+            assert attr["steps"] == attr["eval_calls"] == steps
+            stats = result.solver_stats
+            solved = stats["checks"] - (
+                stats["cache_hit_sat"] + stats["cache_hit_unsat"]
+                + stats["cache_model_reuse"] + stats["cache_subsumed_unsat"])
+            assert phases.get("solver", {"calls": 0})["calls"] \
+                == attr["solver_checks"] == solved
+
 
 class TestDisabledObs:
     def test_fully_disabled_obs_still_explores(self):

@@ -1,8 +1,8 @@
-"""Phase profiler: nesting, self-time, decorator, disabled no-op."""
+"""Cost ledger, layer view: nesting, self-time, decorator, disabled no-op."""
 
 import time
 
-from repro.obs.profile import PhaseProfiler
+from repro.obs.ledger import Ledger
 
 
 def spin(seconds):
@@ -12,105 +12,116 @@ def spin(seconds):
         pass
 
 
+def layer(ledger, name):
+    """One row of the ledger's layer view (zeros when never entered)."""
+    return ledger.snapshot().get(
+        name, {"calls": 0, "total_s": 0.0, "self_s": 0.0})
+
+
 class TestScopes:
     def test_single_phase_counts_calls_and_time(self):
-        profiler = PhaseProfiler()
+        ledger = Ledger(enabled=True)
         for _ in range(3):
-            with profiler.phase("solver"):
+            with ledger.scope("solver"):
                 spin(0.002)
-        stats = profiler.stats("solver")
-        assert stats.calls == 3
-        assert stats.total >= 0.006
-        assert abs(stats.total - stats.self_time) < 1e-9
+        stats = layer(ledger, "solver")
+        assert stats["calls"] == 3
+        assert stats["total_s"] >= 0.006
+        assert abs(stats["total_s"] - stats["self_s"]) < 1e-9
 
     def test_nesting_attributes_self_time(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("eval"):
+        ledger = Ledger(enabled=True)
+        with ledger.scope("eval"):
             spin(0.002)
-            with profiler.phase("memory"):
+            with ledger.scope("memory"):
                 spin(0.002)
-                with profiler.phase("solver"):
+                with ledger.scope("solver"):
                     spin(0.002)
-        eval_stats = profiler.stats("eval")
-        memory_stats = profiler.stats("memory")
-        solver_stats = profiler.stats("solver")
+        eval_stats = layer(ledger, "eval")
+        memory_stats = layer(ledger, "memory")
+        solver_stats = layer(ledger, "solver")
         # Inclusive totals nest.
-        assert eval_stats.total >= memory_stats.total >= solver_stats.total
+        assert eval_stats["total_s"] >= memory_stats["total_s"] \
+            >= solver_stats["total_s"]
         # Self time excludes children.
-        assert eval_stats.self_time < eval_stats.total
-        assert memory_stats.self_time < memory_stats.total
-        assert abs(solver_stats.self_time - solver_stats.total) < 1e-9
+        assert eval_stats["self_s"] < eval_stats["total_s"]
+        assert memory_stats["self_s"] < memory_stats["total_s"]
+        assert abs(solver_stats["self_s"] - solver_stats["total_s"]) < 1e-9
         # The parent's self time is roughly total minus the child.
-        assert (abs((eval_stats.total - memory_stats.total)
-                    - eval_stats.self_time) < 0.002)
+        assert (abs((eval_stats["total_s"] - memory_stats["total_s"])
+                    - eval_stats["self_s"]) < 0.002)
 
     def test_sibling_scopes_both_charged_to_parent(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("eval"):
-            with profiler.phase("solver"):
+        ledger = Ledger(enabled=True)
+        with ledger.scope("eval"):
+            with ledger.scope("solver"):
                 spin(0.001)
-            with profiler.phase("solver"):
+            with ledger.scope("solver"):
                 spin(0.001)
-        assert profiler.stats("solver").calls == 2
-        assert profiler.stats("eval").self_time < profiler.stats(
-            "eval").total
+        assert layer(ledger, "solver")["calls"] == 2
+        assert layer(ledger, "eval")["self_s"] \
+            < layer(ledger, "eval")["total_s"]
 
     def test_recursive_same_phase(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("eval"):
-            with profiler.phase("eval"):
+        ledger = Ledger(enabled=True)
+        with ledger.scope("eval"):
+            with ledger.scope("eval"):
                 spin(0.001)
-        stats = profiler.stats("eval")
-        assert stats.calls == 2
+        stats = layer(ledger, "eval")
+        assert stats["calls"] == 2
         # Self time never exceeds inclusive total across the pair.
-        assert stats.self_time <= stats.total + 1e-9
+        assert stats["self_s"] <= stats["total_s"] + 1e-9
 
 
 class TestDecorator:
     def test_wrap_times_every_call(self):
-        profiler = PhaseProfiler()
+        ledger = Ledger(enabled=True)
 
-        @profiler.wrap("decode")
+        @ledger.wrap("decode")
         def decode():
             spin(0.001)
             return 42
 
         assert decode() == 42
         assert decode() == 42
-        assert profiler.stats("decode").calls == 2
+        assert layer(ledger, "decode")["calls"] == 2
 
 
 class TestDisabled:
     def test_disabled_profiler_records_nothing(self):
-        profiler = PhaseProfiler(enabled=False)
-        with profiler.phase("solver"):
+        ledger = Ledger(enabled=False)
+        with ledger.scope("solver"):
             pass
-        assert profiler.snapshot() == {}
-        assert profiler.stats("solver").calls == 0
+        assert ledger.snapshot() == {}
+        assert layer(ledger, "solver")["calls"] == 0
 
     def test_disabled_phase_is_shared_noop(self):
-        profiler = PhaseProfiler(enabled=False)
-        assert profiler.phase("a") is profiler.phase("b")
+        ledger = Ledger(enabled=False)
+        assert ledger.scope("a") is ledger.scope("b")
 
 
 class TestReporting:
     def test_snapshot_and_report(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("decode"):
+        ledger = Ledger(enabled=True)
+        with ledger.scope("decode"):
             spin(0.001)
-        snap = profiler.snapshot()
+        snap = ledger.snapshot()
         assert snap["decode"]["calls"] == 1
         assert snap["decode"]["total_s"] > 0
-        text = profiler.report()
+        text = ledger.report()
         assert "decode" in text
         assert "calls" in text
 
-    def test_reset(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("decode"):
+    def test_mark_starts_an_empty_window(self):
+        ledger = Ledger(enabled=True)
+        with ledger.scope("decode"):
             pass
-        profiler.reset()
-        assert profiler.snapshot() == {}
+        mark = ledger.mark()
+        assert ledger.snapshot(mark) == {}
+        with ledger.scope("decode"):
+            pass
+        assert ledger.snapshot(mark)["decode"]["calls"] == 1
+        assert ledger.snapshot()["decode"]["calls"] == 2
 
 
 class TestSolverCacheAccounting:
@@ -118,7 +129,7 @@ class TestSolverCacheAccounting:
 
     The accounting contract (SolverStats docstring): ``checks`` counts
     every ``Solver.check`` call, but a call answered by the cache layer
-    adds nothing to the ``solver`` profiler phase, the
+    adds nothing to the ledger's ``solver`` layer, the
     ``solver.check_ms`` histogram, ``solve_time`` or the
     ``solver_check`` event count — it is counted under ``cache_*`` and
     emits one ``solver_cache`` event instead.
@@ -151,7 +162,7 @@ class TestSolverCacheAccounting:
         cond = T.ult(T.var("acc_a", 8), T.bv(9, 8))
         assert solver.check(extra=[cond]) == SAT
 
-        phase_calls = obs.profiler.stats("solver").calls
+        phase_calls = layer(obs.ledger, "solver")["calls"]
         hist_count = obs.metrics.histogram("solver.check_ms").count
         solve_time = solver.stats.solve_time
         checks = solver.stats.checks
@@ -162,7 +173,7 @@ class TestSolverCacheAccounting:
         assert solver.stats.checks == checks + 1
         assert solver.stats.cache_hit_sat == 1
         # None of the solver-work meters moved.
-        assert obs.profiler.stats("solver").calls == phase_calls
+        assert layer(obs.ledger, "solver")["calls"] == phase_calls
         assert obs.metrics.histogram("solver.check_ms").count == hist_count
         assert solver.stats.solve_time == solve_time
         after = self._by_kind(ring)
@@ -180,7 +191,7 @@ class TestSolverCacheAccounting:
         # must reach the solving layers and be fully metered.
         cond = T.ult(T.bv(9, 8), T.var("acc_b", 8))
         assert solver.check(extra=[cond]) == SAT
-        assert obs.profiler.stats("solver").calls == 1
+        assert layer(obs.ledger, "solver")["calls"] == 1
         assert obs.metrics.histogram("solver.check_ms").count == 1
         assert self._by_kind(ring).get("solver_check", 0) == 1
         assert obs.metrics.counter("solver.cache_miss").value == 1
@@ -192,7 +203,7 @@ class TestSolverCacheAccounting:
         solver.note_frame_reuse()
         assert solver.stats.frame_reuse == 1
         assert solver.stats.checks == 0
-        assert obs.profiler.stats("solver").calls == 0
+        assert layer(obs.ledger, "solver")["calls"] == 0
         assert obs.metrics.counter("solver.frame_reuse").value == 1
         events = self._by_kind(ring)
         assert events.get("solver_cache", 0) == 1
@@ -220,87 +231,87 @@ class TestScopeUnwinding:
     """Scopes must unwind correctly when client code raises."""
 
     def test_exception_still_charges_scope(self):
-        profiler = PhaseProfiler()
+        ledger = Ledger(enabled=True)
         try:
-            with profiler.phase("eval"):
+            with ledger.scope("eval"):
                 spin(0.001)
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
-        stats = profiler.stats("eval")
-        assert stats.calls == 1
-        assert stats.total >= 0.001
+        stats = layer(ledger, "eval")
+        assert stats["calls"] == 1
+        assert stats["total_s"] >= 0.001
         # The stack is fully unwound: a fresh root scope is charged as a
         # root, not as a child of the failed one.
-        with profiler.phase("decode"):
+        with ledger.scope("decode"):
             pass
-        assert profiler.stats("decode").calls == 1
-        assert abs(profiler.stats("decode").total
-                   - profiler.stats("decode").self_time) < 1e-9
+        assert layer(ledger, "decode")["calls"] == 1
+        assert abs(layer(ledger, "decode")["total_s"]
+                   - layer(ledger, "decode")["self_s"]) < 1e-9
 
     def test_exception_in_nested_scope_unwinds_to_parent(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("eval"):
+        ledger = Ledger(enabled=True)
+        with ledger.scope("eval"):
             try:
-                with profiler.phase("solver"):
+                with ledger.scope("solver"):
                     raise ValueError("inner")
             except ValueError:
                 pass
             spin(0.001)
-        eval_stats = profiler.stats("eval")
-        solver_stats = profiler.stats("solver")
-        assert eval_stats.calls == 1
-        assert solver_stats.calls == 1
+        eval_stats = layer(ledger, "eval")
+        solver_stats = layer(ledger, "solver")
+        assert eval_stats["calls"] == 1
+        assert solver_stats["calls"] == 1
         # The parent kept timing after the child blew up.
-        assert eval_stats.total >= solver_stats.total + 0.001
+        assert eval_stats["total_s"] >= solver_stats["total_s"] + 0.001
         # And the child's elapsed time was still handed to the parent.
-        assert eval_stats.self_time < eval_stats.total
+        assert eval_stats["self_s"] < eval_stats["total_s"]
 
     def test_deep_nesting_unwinds_completely(self):
-        profiler = PhaseProfiler()
+        ledger = Ledger(enabled=True)
         depth = 200
 
         def recurse(level):
             if level == 0:
                 raise RuntimeError("bottom")
-            with profiler.phase("eval"):
+            with ledger.scope("eval"):
                 recurse(level - 1)
 
         try:
             recurse(depth)
         except RuntimeError:
             pass
-        assert profiler.stats("eval").calls == depth
+        assert layer(ledger, "eval")["calls"] == depth
         # Every frame exited: a new root scope has no leaked parent, so
         # its self time equals its total.
-        with profiler.phase("memory"):
+        with ledger.scope("memory"):
             spin(0.001)
-        memory = profiler.stats("memory")
-        assert abs(memory.total - memory.self_time) < 1e-9
+        memory = layer(ledger, "memory")
+        assert abs(memory["total_s"] - memory["self_s"]) < 1e-9
 
     def test_deep_nesting_totals_are_coherent(self):
-        profiler = PhaseProfiler()
+        ledger = Ledger(enabled=True)
 
         def recurse(level):
-            with profiler.phase("eval"):
+            with ledger.scope("eval"):
                 if level:
                     recurse(level - 1)
                 else:
                     spin(0.001)
 
         recurse(50)
-        stats = profiler.stats("eval")
-        assert stats.calls == 51
+        stats = layer(ledger, "eval")
+        assert stats["calls"] == 51
         # Self time across a recursive chain never exceeds the sum of
         # inclusive totals.
-        assert stats.self_time <= stats.total + 1e-9
+        assert stats["self_s"] <= stats["total_s"] + 1e-9
 
 
 class TestWrapMetadata:
     def test_wrap_preserves_function_identity(self):
-        profiler = PhaseProfiler()
+        ledger = Ledger(enabled=True)
 
-        @profiler.wrap("decode")
+        @ledger.wrap("decode")
         def decode_instruction(word):
             """Decode one instruction word."""
             return word + 1
@@ -309,29 +320,3 @@ class TestWrapMetadata:
         assert decode_instruction.__doc__ == "Decode one instruction word."
         assert decode_instruction.__wrapped__(1) == 2
         assert decode_instruction(1) == 2
-
-
-class TestStatsRegistration:
-    """stats() semantics: live view when enabled, detached when not."""
-
-    def test_enabled_stats_is_live_registered_view(self):
-        profiler = PhaseProfiler()
-        view = profiler.stats("solver")
-        assert view.calls == 0
-        with profiler.phase("solver"):
-            pass
-        # The earlier handle observes later activity (same object).
-        assert view.calls == 1
-        assert profiler.stats("solver") is view
-
-    def test_disabled_stats_is_detached_placeholder(self):
-        profiler = PhaseProfiler(enabled=False)
-        view = profiler.stats("solver")
-        assert view.calls == 0
-        with profiler.phase("solver"):
-            pass
-        # Disabled profiler: nothing recorded anywhere, and the
-        # placeholder never appears in snapshots.
-        assert view.calls == 0
-        assert profiler.snapshot() == {}
-        assert profiler.stats("solver") is not view
