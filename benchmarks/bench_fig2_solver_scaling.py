@@ -5,9 +5,12 @@ Two series:
 * **End-to-end**: time to solve the checksum kernel's trap query as the
   input length (and hence the multiply-accumulate constraint chain)
   grows — the solver-bound workload.
-* **Ablation**: the same engine runs with the model cache and interval
-  pre-filter disabled, isolating what the cheap layers buy before
-  bit-blasting (DESIGN.md lists this as a design-choice experiment).
+* **Ablation**: the same engine runs with witness replay
+  (``use_model_cache=False``: no pooled-model replay in the solver and
+  no frame replay in the engine) and the interval pre-filter disabled,
+  isolating what the cheap layers buy before bit-blasting (DESIGN.md
+  lists this as a design-choice experiment).  The query cache's exact
+  hits and unsat subsumption stay on in both series.
 
 Paper-shape expectation: solve time grows superlinearly with constraint
 size; the filter layers give a constant-factor win that grows with the

@@ -1,14 +1,16 @@
-"""Solver query cache + incremental check reuse: speedup measurement.
+"""Solver query cache + witness replay: speedup measurement.
 
 Table 3 shows the solver dominating exploration runtime; this benchmark
-quantifies what the caching layer (ISSUE 3) buys back.  Two workload
-shapes, each run with the cache on and off (``use_solver_cache`` — the
-``--no-solver-cache`` CLI baseline):
+quantifies what the caching layer buys back.  Two workload shapes, each
+run with the cache on and off (``EngineConfig(use_solver_cache)`` alone
+decides — the ``--no-solver-cache`` CLI baseline, which also turns off
+every kind of model replay):
 
 * **single** — one exploration per engine.  Within one run the cache is
   fed by path-condition prefix sharing: per-branch feasibility checks
-  reuse the parent frame (frame reuse), extended path conditions reuse
-  cached models (model reuse) and unsat cores (subsumption).
+  replay the witness in the state's frame (frame reuse), extended path
+  conditions replay pooled witnesses (model reuse) and unsat sets
+  (subsumption).
 * **repeated** — the same engine explores twice (the repeated-query
   workload: re-running analysis after a checker or strategy change).
   The second pass replays the first pass's queries nearly verbatim, so
@@ -28,7 +30,6 @@ import pytest
 from repro.bench import Sample, benchmark
 from repro.core import Engine, EngineConfig
 from repro.programs import build_kernel
-from repro.smt import Solver
 
 from _util import (best_of_attempts, print_table, report_guard, timed,
                    write_telemetry_sidecar)
@@ -51,9 +52,7 @@ GUARD_SPEEDUP = 1.20
 
 def _engine(kernel, params, use_cache):
     model, image = build_kernel(kernel, "rv32", **params)
-    config = EngineConfig(use_solver_cache=use_cache)
-    engine = Engine(model, solver=Solver(use_query_cache=use_cache),
-                    config=config)
+    engine = Engine(model, config=EngineConfig(use_solver_cache=use_cache))
     engine.load_image(image)
     return engine
 

@@ -9,9 +9,11 @@ Four switches, measured on the maze and checksum kernels:
 * **copy-on-write off** — forking a path deep-copies all touched memory
   pages instead of sharing them.
 * **solver cache off** — no query-result cache, no unsat subsumption,
-  no model-reuse fast path, no per-state frame reuse; every feasibility
-  check reaches the solving layers (the ``--no-solver-cache`` baseline;
-  ``benchmarks/bench_solver_cache.py`` measures this one in depth).
+  no model-reuse fast path (witness replay, the engine's per-state
+  frame replay included); every feasibility check reaches the interval
+  filter and CDCL (``EngineConfig(use_solver_cache=False)``, the
+  ``--no-solver-cache`` baseline; ``benchmarks/bench_solver_cache.py``
+  measures this one in depth).
 
 Paper-shape expectation: each switch costs a measurable constant factor;
 simplification matters most on solver-bound workloads, COW on fork-heavy
@@ -24,7 +26,6 @@ import pytest
 from repro.bench import Sample, benchmark
 from repro.core import Engine, EngineConfig
 from repro.programs import build_kernel
-from repro.smt import Solver
 from repro.smt import terms as T
 
 from _util import print_table, timed
@@ -56,8 +57,7 @@ def run_config(kernel, params, hash_consing, simplify, cow,
         model, image = build_kernel(kernel, "rv32", **params)
         config = EngineConfig(collect_path_inputs=False, cow_memory=cow,
                               use_solver_cache=solver_cache)
-        engine = Engine(model, solver=Solver(use_query_cache=solver_cache),
-                        config=config)
+        engine = Engine(model, config=config)
         engine.load_image(image)
         result, wall = timed(engine.explore)
         pool_stats = T.pool_stats()

@@ -17,13 +17,14 @@ recursive ``Engine._eval`` unrolled for one specific expression tree:
   of eval + ``_concrete_index``),
 * guard tuples for expression-``ite`` arms are threaded exactly as the
   engine threads them, and solver-visible callbacks (``_load``,
-  ``_store``, ``_check_div``, ``_branch_feasible``,
+  ``_store``, ``_check_div``, ``_fork_branches``,
   ``_concrete_index``) go back through the engine itself.
 
 The plan driver (:func:`exec_block` / ``_run`` / ``_fork``) mirrors
 ``Engine._run_frames`` / ``Engine._fork_if`` statement for statement —
-same solver-query order, same ``assume`` order, same fork order, same
-frame-model seeding — because the equivalence contract is *bit-for-bit
+same solver-query order, same ``assume`` order, same fork order (the
+feasibility probes, forks and frame seeding are the engine's own
+``Engine._fork_branches``) — because the equivalence contract is *bit-for-bit
 identical exploration fingerprints* (tree/leaves/defects), not just
 equal final values.  Term construction happens at run time, never at
 generation time: the term pool is swappable (``terms.set_pool``), so a
@@ -40,7 +41,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..ir import nodes as N
-from ..smt import SAT
 from ..smt import terms as T
 from .errors import CompileError
 
@@ -421,22 +421,7 @@ def _run(E, state, frames, L, outcome, FT, FI, D):
 def _fork(E, state, st, cond, frames, L, outcome, FT, FI, D):
     from ..core.executor import _Outcome, _PathEnd
     results = []
-    branches = ((cond, st[2]), (T.not_(cond), st[3]))
-    feasible = []
-    # No IfStmt attribution scope: deep attribution steps never reach
-    # compiled plans (Engine._exec_block runs them interpreted).
-    for branch_cond, body in branches:
-        verdict, model, memo = E._branch_feasible(state, branch_cond)
-        if verdict == SAT:
-            feasible.append((branch_cond, body, model, memo))
-    for position, (branch_cond, body, model, memo) in enumerate(feasible):
-        last = position == len(feasible) - 1
-        branch_state = state if last else state.fork()
-        branch_state.assume(branch_cond)
-        if model is not None:
-            branch_state.frame_model = model
-            branch_state.frame_memo = memo if memo is not None else {}
-            branch_state.frame_checked = len(branch_state.path_condition)
+    for branch_state, body in E._fork_branches(state, cond, st[2], st[3]):
         branch_frames = [(stmts, idx) for stmts, idx in frames]
         if body:
             branch_frames.append((body, 0))

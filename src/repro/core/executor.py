@@ -118,10 +118,11 @@ class EngineConfig:
         self.collect_path_inputs = collect_path_inputs
         self.collect_coverage = collect_coverage
         self.cow_memory = cow_memory
-        # Solver caching/reuse layer (Table 5 ablation; CLI
-        # --no-solver-cache).  Governs both the solver's query-result
-        # cache (repro.smt.cache) and the engine's per-state frame-model
-        # reuse for branch feasibility checks (_branch_feasible).
+        # Solver caching/replay layer (Table 5 ablation; CLI
+        # --no-solver-cache): the default solver's use_query_cache.
+        # Off means no exact hits, no subsumption and no witness replay,
+        # the engine's per-state frame replay (_branch_feasible)
+        # included.
         self.use_solver_cache = use_solver_cache
         # Execute specialized per-instruction transfer functions
         # (repro.compile) instead of walking rule IR per step (CLI
@@ -212,9 +213,6 @@ class Engine:
         self.config = config if config is not None else EngineConfig()
         self.solver = solver if solver is not None else Solver(
             use_query_cache=self.config.use_solver_cache)
-        # Engine-side incremental check reuse rides the same ablation
-        # switch as the solver's query cache (see _branch_feasible).
-        self._frame_reuse = self.config.use_solver_cache
         # -- observability wiring (see repro.obs) --------------------------
         self.obs = (self.config.obs if self.config.obs is not None
                     else Obs.default())
@@ -800,75 +798,86 @@ class Engine:
     def _branch_feasible(self, state: SymState, branch_cond: T.Term):
         """Feasibility of ``state.path_condition ∧ branch_cond``.
 
-        Returns ``(verdict, model, memo)``: the witnessing model (and,
-        when it came from the state's cached frame, the shared
-        evaluation memo) on SAT, ``(verdict, None, None)`` otherwise.
+        Returns ``(verdict, witness)``: on SAT, the query cache's pool
+        witness that proved it (None when the solver's witness replay
+        is off); ``(verdict, None)`` otherwise.
 
-        This is the incremental check-reuse fast path: each state keeps
-        the last model known to satisfy its path condition plus a
-        watermark of how many conjuncts that model has been validated
-        against.  A branch check then only evaluates the *unvalidated
-        suffix* and the branch condition under the cached model — no
-        solver call, no re-blasting of the shared prefix.  Because a
+        Frame replay runs first: a state's ``frame`` holds the witness
+        that proved its last branch plus a watermark of how many
+        path-condition conjuncts it has been validated against.  A
+        branch check then only evaluates the *unvalidated suffix* and
+        the branch condition under that witness — no solver call, no
+        query key, no re-blasting of the shared prefix.  Because a
         model is total (unassigned variables evaluate as 0), exactly one
         of ``c`` / ``¬c`` is true under it, so at most one sibling per
         fork falls through to the solver.  Sound by construction: the
         fast path only ever answers SAT, with an explicit witness.
         """
-        if self._frame_reuse:
-            model = state.frame_model
-            if model is not None:
-                memo = state.frame_memo
-                path = state.path_condition
-                if T.all_true(path[state.frame_checked:], model, memo):
-                    state.frame_checked = len(path)
-                    if T.all_true((branch_cond,), model, memo):
-                        self.solver.note_frame_reuse()
-                        return SAT, model, memo
+        frame = state.frame
+        if frame is not None:
+            witness, checked = frame
+            model, memo = witness.model, witness.memo
+            path = state.path_condition
+            if checked < len(path):
+                if T.all_true(path[checked:], model, memo):
+                    state.frame = (witness, len(path))
                 else:
-                    # A newer conjunct falsified the cached model; drop
-                    # the frame (replace, never mutate: forks share it).
-                    state.frame_model = None
-                    state.frame_memo = {}
-                    state.frame_checked = 0
+                    # A newer conjunct falsified the witness; drop the
+                    # frame (replace, never mutate: forks share it).
+                    state.frame = witness = None
+            if witness is not None and T.all_true((branch_cond,), model,
+                                                  memo):
+                self.solver.note_frame_reuse()
+                return SAT, witness
         verdict = self.solver.check(
             extra=state.path_condition + [branch_cond])
         if verdict != SAT:
-            return verdict, None, None
-        return SAT, (self.solver.model() if self._frame_reuse else None), None
+            return verdict, None
+        return SAT, self.solver.witness()
 
-    def _fork_if(self, state, stmt, cond, frames, local_values, outcome,
-                 fields, decoded) -> List[Tuple[SymState, _Outcome]]:
-        results: List[Tuple[SymState, _Outcome]] = []
-        branches = ((cond, stmt.then_body), (T.not_(cond), stmt.else_body))
+    def _fork_branches(self, state: SymState, cond: T.Term,
+                       then_body, else_body):
+        """Yield ``(branch_state, body)`` for each feasible side of a
+        symbolic ``if``, then-side first (interpreted ``_fork_if`` and
+        compiled ``repro.compile.symbolic._fork`` alike).
+
+        The last side continues in ``state`` itself, so callers must
+        finish each yielded branch before resuming the generator.  A
+        branch's frame is seeded with the witness that proved it: that
+        witness satisfies the extended path condition, so the child's
+        next branch check starts validated.
+        """
         feasible = []
         # On a deep attribution step the feasibility probes run under a
         # synthetic IfStmt scope, so their solver time shows up as
         # isa;rule;IfStmt;solver in the flamegraph (branch blame).
+        # Compiled plans never see deep steps (_exec_block interprets).
         probe = self._ledger.deep
         if probe:
             self._ledger.enter("eval", "IfStmt")
         try:
-            for branch_cond, body in branches:
-                verdict, model, memo = self._branch_feasible(state,
-                                                             branch_cond)
+            for branch_cond, body in ((cond, then_body),
+                                      (T.not_(cond), else_body)):
+                verdict, witness = self._branch_feasible(state, branch_cond)
                 if verdict == SAT:
-                    feasible.append((branch_cond, body, model, memo))
+                    feasible.append((branch_cond, body, witness))
         finally:
             if probe:
                 self._ledger.exit()
-        for position, (branch_cond, body, model, memo) in enumerate(feasible):
-            last = position == len(feasible) - 1
-            branch_state = state if last else state.fork()
+        last = len(feasible) - 1
+        for position, (branch_cond, body, witness) in enumerate(feasible):
+            branch_state = state if position == last else state.fork()
             branch_state.assume(branch_cond)
-            if model is not None:
-                # Seed the child's frame with the witness that proved
-                # this branch: it satisfies the extended path condition,
-                # so the child's next branch check starts validated.
-                branch_state.frame_model = model
-                branch_state.frame_memo = memo if memo is not None else {}
-                branch_state.frame_checked = \
-                    len(branch_state.path_condition)
+            if witness is not None:
+                branch_state.frame = (witness,
+                                      len(branch_state.path_condition))
+            yield branch_state, body
+
+    def _fork_if(self, state, stmt, cond, frames, local_values, outcome,
+                 fields, decoded) -> List[Tuple[SymState, _Outcome]]:
+        results: List[Tuple[SymState, _Outcome]] = []
+        for branch_state, body in self._fork_branches(
+                state, cond, stmt.then_body, stmt.else_body):
             branch_frames = [(stmts, idx) for stmts, idx in frames]
             if body:
                 branch_frames.append((tuple(body), 0))

@@ -12,6 +12,7 @@ import itertools
 from typing import Dict, List, Optional, Tuple
 
 from ..smt import terms as T
+from ..smt.cache import Witness
 from .memory import SymMemory
 
 __all__ = ["SymState"]
@@ -44,16 +45,13 @@ class SymState:
         # Per-path pc visit counts (populated only when the engine's
         # loop bound, max_visits_per_pc, is configured).
         self.visit_counts: Dict[int, int] = {}
-        # Incremental solver-frame reuse (Engine._branch_feasible): the
-        # last model known to satisfy this path's condition, a shared
-        # term-evaluation memo for that model, and a watermark counting
-        # how many path-condition conjuncts the model has been validated
-        # against.  Forks share model + memo (sound: both are read-only
-        # relative to one fixed assignment; a state that adopts a new
-        # model replaces them wholesale, never mutates in place).
-        self.frame_model: Optional[Dict[str, int]] = None
-        self.frame_memo: Dict[int, int] = {}
-        self.frame_checked: int = 0
+        # Frame replay (Engine._branch_feasible): ``(witness, checked)``
+        # — the query-cache pool witness last known to satisfy this
+        # path's condition and how many path-condition conjuncts it has
+        # been validated against.  Forks share the tuple (sound: the
+        # witness's memo is tied to its one fixed model; a state that
+        # adopts a new witness replaces the tuple, never mutates it).
+        self.frame: Optional[Tuple[Witness, int]] = None
 
     # -- path forking ---------------------------------------------------------------
 
@@ -75,9 +73,7 @@ class SymState:
         child.parent_id = self.state_id
         child.priority = self.priority
         child.visit_counts = dict(self.visit_counts)
-        child.frame_model = self.frame_model
-        child.frame_memo = self.frame_memo
-        child.frame_checked = self.frame_checked
+        child.frame = self.frame
         return child
 
     # -- constraints -------------------------------------------------------------------

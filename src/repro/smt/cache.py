@@ -20,17 +20,20 @@ layer for :class:`repro.smt.solver.Solver`:
   query that is a *superset* of any stored unsat set is unsat without
   solving.  (Without core extraction the stored set is the whole query —
   still sound, and supersets are exactly what path extension produces.)
-* **Model reuse** — recent SAT models are replayed against new
-  (typically superset) queries before any solving; a model that
-  satisfies every conjunct proves SAT outright.  Each stored model
-  carries a *persistent* evaluation memo (term id -> value under that
-  model; term ids are never reused, so the memo can only be right), so
-  replaying a model against a query that shares its path-condition
-  prefix with earlier queries only evaluates the new conjuncts.
+* **Witness replay** — the pool of recent SAT models (plus the all-zero
+  assignment) is the engine's one model-replay store.  Each pooled
+  :class:`Witness` is a model plus a *persistent* evaluation memo (term
+  id -> value under that model; term ids are never reused, so the memo
+  can only be right).  The solver replays the pool against new
+  (typically superset) queries before any solving, and the engine
+  seeds each forked state's frame with the witness that proved its
+  branch, so both replay sites share one memo per model and a replay
+  against a query sharing its path-condition prefix with earlier ones
+  only evaluates the new conjuncts.
 
 Everything here is *sound by construction*: exact hits replay a decided
 verdict for a semantically identical query, subsumption only weakens
-satisfiability, and model reuse proves SAT with an explicit witness.
+satisfiability, and witness replay proves SAT with an explicit model.
 The differential harness (``tests/smt/test_cache_differential.py``)
 checks the claim against a cache-free twin on randomized query streams.
 """
@@ -42,7 +45,7 @@ from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 from .sat import SAT, UNSAT
 
-__all__ = ["CacheEntry", "QueryCache"]
+__all__ = ["CacheEntry", "QueryCache", "Witness"]
 
 
 class CacheEntry:
@@ -59,13 +62,40 @@ class CacheEntry:
             self.verdict, "" if self.model is None else " +model")
 
 
+class Witness:
+    """A pooled model plus its persistent evaluation memo.
+
+    The memo maps term id -> value under ``model`` and only grows; it
+    is shared by every replay of the model (solver pool probes and the
+    engine's per-state frames alike).  ``model`` is never mutated.
+    """
+
+    __slots__ = ("model", "memo")
+
+    def __init__(self, model: Dict[str, int]):
+        self.model = model
+        self.memo: Dict[int, int] = {}
+
+
+def _fingerprint(model: Dict[str, int]) -> Tuple[Tuple[str, int], ...]:
+    return tuple(sorted(model.items()))
+
+
+def _valid_model(model: object) -> bool:
+    """A persisted model must map variable names to unsigned values."""
+    return isinstance(model, dict) and all(
+        isinstance(name, str) and isinstance(value, int)
+        and not isinstance(value, bool) and value >= 0
+        for name, value in model.items())
+
+
 class QueryCache:
     """Bounded LRU of decided queries plus a bounded unsat-set index.
 
     ``max_entries`` bounds the exact cache, ``max_unsat_sets`` the
     subsumption index (scanned linearly per miss, so it stays small),
-    and ``model_probe`` caps how many recent SAT models the solver
-    replays per query.
+    and ``model_probe`` the witness pool (the all-zero witness is
+    always a candidate on top of it).
     """
 
     def __init__(self, max_entries: int = 2048, max_unsat_sets: int = 64,
@@ -77,16 +107,12 @@ class QueryCache:
             OrderedDict()
         self._unsat_sets: "OrderedDict[FrozenSet[bytes], None]" = \
             OrderedDict()
-        # Recent SAT models, newest last (bounded by model_probe).
-        # Each entry pairs the model with its persistent evaluation
-        # memo (term id -> value); the memo rides along so replays
-        # against queries sharing a prefix stay incremental.
-        self._models: "OrderedDict[tuple, Tuple[Dict[str, int], Dict[int, int]]]" = \
-            OrderedDict()
+        # The witness pool: recent SAT models, newest last, keyed by
+        # their sorted item tuple (bounded by model_probe, LRU).
+        self._models: "OrderedDict[tuple, Witness]" = OrderedDict()
         # The all-zero assignment is a candidate for every query (it
-        # satisfies a surprising share of path conditions); it gets a
-        # persistent memo of its own.
-        self.zero_memo: Dict[int, int] = {}
+        # satisfies a surprising share of path conditions).
+        self.zero = Witness({})
         self.evictions = 0
 
     def __len__(self) -> int:
@@ -113,23 +139,30 @@ class QueryCache:
                 return True
         return False
 
-    def recent_models(self) -> Iterator[Tuple[Dict[str, int], Dict[int, int]]]:
-        """Candidate ``(model, memo)`` pairs for model reuse.
+    def witnesses(self) -> Iterator[Witness]:
+        """Replay candidates: the all-zero witness first, then the
+        pooled SAT models newest-first (≤ ``model_probe``).  Callers
+        pass ``witness.memo`` straight to ``terms.all_true`` so it
+        keeps accumulating."""
+        yield self.zero
+        yield from reversed(self._models.values())
 
-        Yields the all-zero assignment first, then the most recent SAT
-        models newest-first (≤ ``model_probe``).  The memo is the
-        model's persistent evaluation cache; callers pass it straight
-        to ``terms.all_true`` so it keeps accumulating.
-        """
-        yield {}, self.zero_memo
-        for pair in reversed(self._models.values()):
-            yield pair
+    def witness(self, model: Dict[str, int]) -> Witness:
+        """The pooled witness for ``model`` (sharing its memo), or a
+        fresh unpooled one; never changes the pool."""
+        if not model:
+            return self.zero
+        pooled = self._models.get(_fingerprint(model))
+        return pooled if pooled is not None else Witness(model)
 
     # -- insertion -----------------------------------------------------------
 
     def store(self, key: FrozenSet[bytes], verdict: str,
-              model: Optional[Dict[str, int]] = None) -> None:
-        """Record a decided query (idempotent; refreshes recency)."""
+              model: Optional[Dict[str, int]] = None) -> Optional[Witness]:
+        """Record a decided query (idempotent; refreshes recency).
+
+        A SAT ``model`` enters the witness pool (or refreshes its
+        pooled twin); the pooled witness is returned."""
         if key in self._entries:
             self._entries.move_to_end(key)
             entry = self._entries[key]
@@ -142,7 +175,8 @@ class QueryCache:
             self._remember_unsat(key)
         elif model is not None:
             entry.model = model
-            self._remember_model(model)
+            return self._remember_model(model)
+        return None
 
     def _remember_unsat(self, key: FrozenSet[bytes]) -> None:
         if key in self._unsat_sets:
@@ -158,17 +192,19 @@ class QueryCache:
         if len(self._unsat_sets) > self.max_unsat_sets:
             self._unsat_sets.popitem(last=False)
 
-    def _remember_model(self, model: Dict[str, int]) -> None:
+    def _remember_model(self, model: Dict[str, int]) -> Witness:
         if not model:
-            return  # the zero assignment is always a candidate already
-        fingerprint = tuple(sorted(model.items()))
-        if fingerprint in self._models:
+            return self.zero  # always a candidate already
+        fingerprint = _fingerprint(model)
+        witness = self._models.get(fingerprint)
+        if witness is not None:
             # Refresh recency, keep the accumulated memo.
             self._models.move_to_end(fingerprint)
-            return
-        self._models[fingerprint] = (model, {})
+            return witness
+        witness = self._models[fingerprint] = Witness(model)
         if len(self._models) > self.model_probe:
             self._models.popitem(last=False)
+        return witness
 
     # -- persistence ---------------------------------------------------------
     #
@@ -191,13 +227,16 @@ class QueryCache:
                 for key, entry in self._entries.items()],
             "unsat_sets": [sorted(digest.hex() for digest in key)
                            for key in self._unsat_sets],
-            "models": [model for model, _memo in self._models.values()],
+            "models": [witness.model for witness in self._models.values()],
         }
 
     def load_state(self, payload: Dict[str, object]) -> int:
         """Merge a :meth:`save_state` snapshot into this cache; returns
         the number of entries loaded.  Tolerant of malformed payloads
-        (a corrupt warm-start file degrades to a cold cache)."""
+        (a corrupt warm-start file degrades to a cold cache): a SAT
+        entry or ``models`` row without a well-formed model (a dict of
+        variable name -> non-negative int) is dropped, since a SAT
+        answer must always be able to produce its model."""
         if not isinstance(payload, dict):
             return 0
         loaded = 0
@@ -209,10 +248,11 @@ class QueryCache:
                 model = record.get("model")
             except (KeyError, TypeError, ValueError):
                 continue
-            if verdict not in (SAT, UNSAT):
+            if verdict == UNSAT:
+                model = None
+            elif verdict != SAT or not _valid_model(model):
                 continue
-            self.store(key, verdict,
-                       model if isinstance(model, dict) else None)
+            self.store(key, verdict, model)
             loaded += 1
         for row in payload.get("unsat_sets") or ():
             try:
@@ -221,7 +261,7 @@ class QueryCache:
             except (TypeError, ValueError):
                 continue
         for model in payload.get("models") or ():
-            if isinstance(model, dict):
+            if _valid_model(model):
                 self._remember_model(model)
         return loaded
 
@@ -231,7 +271,7 @@ class QueryCache:
         self._entries.clear()
         self._unsat_sets.clear()
         self._models.clear()
-        self.zero_memo.clear()
+        self.zero.memo.clear()
 
     def stats(self) -> Dict[str, int]:
         return {"entries": len(self._entries),

@@ -1,41 +1,46 @@
 """The SMT solver front end used by the execution engine.
 
 :class:`Solver` exposes the conventional assert / push / pop / check / model
-interface over the bit-blaster and CDCL core.  Four layers are tried in
-order on every :meth:`check` call, cheapest first:
+interface over the bit-blaster and CDCL core.  :meth:`Solver.check` first
+drops constant-true conjuncts (a constant-false one is UNSAT outright),
+then tries these layers in order, cheapest first:
 
-0. **Query cache** — every decided query is memoized under a canonical,
-   order-independent digest of its conjunction (``repro.smt.cache``).
-   Exact repeats replay the stored verdict (and model); supersets of a
-   known-unsat conjunction are unsat by subsumption; recent models are
-   replayed against new queries (KLEE-style counterexample caching).
-   Cache answers bypass the solving layers entirely: they are *not*
-   counted as solver work (no ``solver_check`` event, no ``solver``
-   ledger scope, no ``solver.check_ms`` observation) — they emit
-   ``solver_cache`` events and ``solver.cache_*`` counters instead.
-1. **Model cache** — recently found models (plus the all-zero assignment)
-   are replayed through the term evaluator; symbolic-execution workloads
-   re-ask very similar questions, so this answers a large share of SAT
-   queries without touching the SAT solver.
-2. **Interval pre-filter** — conservative range analysis proves easy
+1. **Exact hit** — every decided query is memoized under a canonical,
+   order-independent digest of its conjunction (``repro.smt.cache``);
+   a repeat replays the stored verdict and model.
+2. **Unsat subsumption** — a superset of a known-unsat conjunction is
+   unsat.
+3. **Witness replay** — the query cache's witness pool (the all-zero
+   model plus recent SAT models, each with a persistent evaluation
+   memo) is replayed through the term evaluator (KLEE-style
+   counterexample caching).  The pool is the engine's only model-replay
+   store: the engine's per-state frames hold pool witnesses too (see
+   :meth:`Solver.witness`).
+4. **Interval pre-filter** — conservative range analysis proves easy
    unsats (e.g. contradictory equalities on the same variable).
-3. **Bit-blast + CDCL** — the complete decision procedure.  Assertions are
+5. **Bit-blast + CDCL** — the complete decision procedure.  Assertions are
    blasted into one persistent CNF and each check solves under assumptions,
    so learned clauses carry over between path-feasibility queries.
 
-Layers 0–2 can be disabled (``use_query_cache`` / ``use_model_cache`` /
-``use_intervals``) for the Figure 2 / Table 5 ablations; the engine's
-``--no-solver-cache`` flag maps to ``use_query_cache=False``.
+Layers 1–3 answer without solving: they are *not* counted as solver
+work (no ``solver_check`` event, no ``solver`` ledger scope, no
+``solver.check_ms`` observation) — they emit ``solver_cache`` events and
+``solver.cache_*`` counters instead.
+
+Two nested switches serve the Figure 2 / Table 5 ablations:
+``use_query_cache=False`` removes layers 1–3 (and the engine's frame
+replay with them); with the cache on, ``use_model_cache=False`` removes
+layer 3 and frame replay only.  ``use_intervals`` toggles layer 4.  The
+engine's ``--no-solver-cache`` flag maps to ``use_query_cache=False``.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional
 
 from . import terms as T
 from .bitblast import BitBlaster
-from .cache import QueryCache
+from .cache import QueryCache, Witness
 from .interval import refute_conjunction
 from .sat import SAT, UNSAT, SatSolver
 
@@ -50,12 +55,15 @@ class SolverStats:
     :meth:`as_dict` at the start and diff with :meth:`delta_since`.
 
     Accounting contract (pinned by ``tests/obs/test_profile.py``):
-    ``checks`` counts every :meth:`Solver.check` call; the ``cache_*``
-    and ``frame_reuse`` counters partition the calls the query-cache
-    layer answered, and those calls add nothing to ``solve_time``,
-    the ``solver`` ledger layer, the ``solver.check_ms`` histogram or
-    the ``solver_check`` event count — cached hits never inflate the
-    solver's measured work.
+    ``checks`` counts every :meth:`Solver.check` call; the
+    ``cache_hit_*`` / ``cache_model_reuse`` / ``cache_subsumed_unsat``
+    counters partition the calls the query-cache layer answered
+    (``cache_sat`` is their SAT share: exact SAT hits plus witness
+    replays), and ``frame_reuse`` counts engine frame replays, which
+    never reach :meth:`Solver.check`.  Cache answers add nothing to
+    ``solve_time``, the ``solver`` ledger layer, the ``solver.check_ms``
+    histogram or the ``solver_check`` event count — cached hits never
+    inflate the solver's measured work.
     """
 
     def __init__(self):
@@ -69,10 +77,10 @@ class SolverStats:
         # Query-cache layer (repro.smt.cache).
         self.cache_hit_sat = 0          # exact key hit, SAT + memoized model
         self.cache_hit_unsat = 0        # exact key hit, UNSAT
-        self.cache_model_reuse = 0      # cached model satisfied a new query
+        self.cache_model_reuse = 0      # pooled witness satisfied a new query
         self.cache_subsumed_unsat = 0   # superset of a known-unsat set
         self.cache_misses = 0           # probed the cache, had to solve
-        # Engine-side incremental reuse: a state's cached frame model
+        # Engine-side replay: the pool witness in a state's frame
         # answered a branch feasibility check without a solver call
         # (Solver.note_frame_reuse, driven by repro.core.executor).
         self.frame_reuse = 0
@@ -101,7 +109,6 @@ class Solver:
 
     def __init__(self, use_intervals: bool = True,
                  use_model_cache: bool = True,
-                 model_cache_size: int = 3,
                  use_query_cache: bool = True,
                  query_cache_size: int = 2048):
         self.use_intervals = use_intervals
@@ -109,13 +116,10 @@ class Solver:
         self.use_query_cache = use_query_cache
         self._blaster = BitBlaster(SatSolver())
         self._frames: List[List[T.Term]] = [[]]
-        # Model-replay layer: bounded LRU keyed on the model's sorted
-        # item tuple.  OrderedDict gives O(1) insert/evict/refresh (the
-        # old list form evicted FIFO via pop(0), an O(n) shift).
-        self._model_cache: "OrderedDict[tuple, Dict[str, int]]" = \
-            OrderedDict()
-        self._model_cache_size = model_cache_size
         self._last_model: Optional[Dict[str, int]] = None
+        # The pool witness behind the last SAT answer (None with the
+        # query cache off).
+        self._last_witness: Optional[Witness] = None
         self.query_cache = QueryCache(max_entries=query_cache_size) \
             if use_query_cache else None
         self.stats = SolverStats()
@@ -188,20 +192,18 @@ class Solver:
             if term.width != 1:
                 raise T.WidthError("extra constraints must be boolean")
         conds = self.assertions() + extra
-        key = None
-        if self.query_cache is not None \
-                and not any(T.is_false(term) for term in conds):
+        live = key = None  # live stays None when a conjunct is false
+        if not any(T.is_false(term) for term in conds):
             live = [term for term in conds if not T.is_true(term)]
-            key = T.query_key(live)
-            cached = self._probe_cache(key, live)
-            if cached is not None:
-                return cached
-            self.stats.cache_misses += 1
-            self._c_cache_miss.inc()
-            self._ledger.count("cache_miss")
-        skip_models = key is not None  # the cache probe already replayed them
-        result, elapsed = self._ledger.timed("solver", self._check, conds,
-                                             skip_models)
+            if self.query_cache is not None:
+                key = T.query_key(live)
+                cached = self._probe_cache(key, live)
+                if cached is not None:
+                    return cached
+                self.stats.cache_misses += 1
+                self._c_cache_miss.inc()
+                self._ledger.count("cache_miss")
+        result, elapsed = self._ledger.timed("solver", self._solve, live)
         self.stats.solve_time += elapsed
         self._check_hist.observe(elapsed * 1000.0)
         if result == SAT:
@@ -209,7 +211,7 @@ class Solver:
         else:
             self.stats.unsat_results += 1
         if key is not None:
-            self.query_cache.store(
+            self._last_witness = self.query_cache.store(
                 key, result, self._last_model if result == SAT else None)
         tracer = self._obs_tracer
         if tracer is not None and tracer.enabled:
@@ -220,7 +222,7 @@ class Solver:
     # -- query-cache layer -------------------------------------------------------
 
     def _probe_cache(self, key, conds: List[T.Term]) -> Optional[str]:
-        """Layer 0: exact hit, unsat subsumption, then model reuse.
+        """Exact hit, unsat subsumption, then witness replay.
 
         Returns the cached verdict, or None when the query must be
         solved.  Answers here touch none of the solver-work telemetry
@@ -235,6 +237,7 @@ class Solver:
                 self.stats.cache_hit_sat += 1
                 self.stats.cache_sat += 1
                 self._last_model = entry.model
+                self._last_witness = cache.witness(entry.model)
             else:
                 self.stats.cache_hit_unsat += 1
             self.stats.sat_results += entry.verdict == SAT
@@ -251,18 +254,16 @@ class Solver:
             self._emit_cache_event("subsume", UNSAT)
             return UNSAT
         if not self.use_model_cache:
-            # Model replay (here and in _check) is one ablation switch:
-            # with the model cache disabled the probe is exact+subsume
-            # only, so layer-ablation tests still reach the SAT core.
             return None
-        for model, memo in cache.recent_models():
-            if T.all_true(conds, model, memo):
+        for witness in cache.witnesses():
+            if T.all_true(conds, witness.model, witness.memo):
                 self.stats.cache_model_reuse += 1
                 self.stats.cache_sat += 1
                 self.stats.sat_results += 1
-                self._last_model = model
+                self._last_model = witness.model
+                self._last_witness = witness
                 self._c_cache_model_reuse.inc()
-                cache.store(key, SAT, model)
+                cache.store(key, SAT, witness.model)
                 self._emit_cache_event("model", SAT)
                 return SAT
         return None
@@ -273,31 +274,33 @@ class Solver:
         if tracer is not None and tracer.enabled:
             tracer.emit("solver_cache", layer=layer, result=result)
 
+    def witness(self) -> Optional[Witness]:
+        """The pool witness behind the last SAT answer, or None when
+        witness replay is off (``use_query_cache`` / ``use_model_cache``).
+
+        The engine seeds a forked state's frame with it, so the
+        state's later branch checks replay the same witness (and
+        share its memo) before asking :meth:`check`."""
+        return self._last_witness if self.use_model_cache else None
+
     def note_frame_reuse(self) -> None:
-        """Record one engine-side incremental reuse: a per-path cached
-        frame model answered a branch feasibility query, so no solver
-        call was made at all (see ``Engine._frame_probe``)."""
+        """Record one engine frame replay: the pool witness held by a
+        state's frame answered a branch feasibility query, so no solver
+        call was made at all (see ``Engine._branch_feasible``)."""
         self.stats.frame_reuse += 1
         self._c_frame_reuse.inc()
         self._emit_cache_event("frame", SAT)
 
-    # -- solving layers 1..3 ------------------------------------------------------
+    # -- solving layers: intervals, then bit-blast + CDCL ------------------------
 
-    def _check(self, conds: List[T.Term], skip_model_layer: bool = False
-               ) -> str:
-        if any(T.is_false(term) for term in conds):
+    def _solve(self, conds: Optional[List[T.Term]]) -> str:
+        """Decide ``conds`` (constant-true conjuncts already dropped;
+        None means a conjunct was constant false)."""
+        if conds is None:
             return UNSAT
-        conds = [term for term in conds if not T.is_true(term)]
         if not conds:
             self._last_model = {}
             return SAT
-        if self.use_model_cache and not skip_model_layer:
-            for candidate in self._candidate_models():
-                if T.all_true(conds, candidate):
-                    self.stats.cache_sat += 1
-                    self._remember(candidate)
-                    self._last_model = candidate
-                    return SAT
         if self.use_intervals and refute_conjunction(conds):
             self.stats.interval_unsat += 1
             return UNSAT
@@ -307,29 +310,12 @@ class Solver:
             return UNSAT
         model = self._blaster.extract_model(self._blaster.sat.model())
         self._last_model = model
-        self._remember(model)
         # Internal consistency check: the model must actually satisfy the
         # query (catches bit-blaster bugs immediately).
         if not T.all_true(conds, model):
             raise T.SmtError("solver produced a model that does not satisfy "
                              "the query; this is a bug in the bit-blaster")
         return SAT
-
-    def _candidate_models(self):
-        yield {}
-        for model in reversed(self._model_cache.values()):
-            yield model
-
-    def _remember(self, model: Dict[str, int]) -> None:
-        fingerprint = tuple(sorted(model.items()))
-        if fingerprint in self._model_cache:
-            # Refresh recency (LRU, not FIFO): a model answering again
-            # should outlive colder entries.
-            self._model_cache.move_to_end(fingerprint)
-            return
-        self._model_cache[fingerprint] = dict(model)
-        if len(self._model_cache) > self._model_cache_size:
-            self._model_cache.popitem(last=False)
 
     def model(self) -> Dict[str, int]:
         """The model of the last SAT answer (var name -> unsigned int)."""

@@ -889,9 +889,10 @@ def all_true(terms: Iterable[Term], assignment: Dict[str, int],
     """True iff every boolean term evaluates to 1 under ``assignment``.
 
     Shares one memo table across the whole conjunction and bails at the
-    first falsified conjunct — the hot path of the solver's model-cache
-    layer, where re-walking shared path-condition DAGs per conjunct (or
-    building a fresh ``conjoin`` term per query) would dominate.
+    first falsified conjunct — the hot path of witness replay (the query
+    cache's pool probes and the engine's frames), where re-walking
+    shared path-condition DAGs per conjunct (or building a fresh
+    ``conjoin`` term per query) would dominate.
     """
     if cache is None:
         cache = {}

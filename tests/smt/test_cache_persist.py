@@ -90,3 +90,42 @@ class TestTolerance:
         payload["models"].append("not-a-dict")
         fresh = QueryCache()
         assert fresh.load_state(payload) == 2
+
+    @staticmethod
+    def _sat_payload(model):
+        """One SAT entry for ``9 <u wx`` carrying ``model``."""
+        cond = T.ult(T.bv(9, 8), T.var("wx", 8))
+        key = sorted(digest.hex() for digest in T.query_key([cond]))
+        return cond, {"version": 1,
+                      "entries": [{"key": key, "verdict": "sat",
+                                   "model": model}]}
+
+    @pytest.mark.parametrize("model", [
+        None, "junk", 17, [["wx", 10]], {"wx": "abc"}, {"wx": -1},
+        {"wx": 10.5}, {"wx": True}, {3: 10},
+    ])
+    def test_sat_entry_without_usable_model_is_dropped(self, model):
+        cond, payload = self._sat_payload(model)
+        solver = Solver()
+        assert solver.query_cache.load_state(payload) == 0
+        # The query is solved afresh and still yields a real model.
+        assert solver.check(extra=[cond]) == SAT
+        assert solver.model()["wx"] > 9
+        assert solver.stats.cache_hit_sat == 0
+
+    def test_sat_entry_with_model_replays_it(self):
+        cond, payload = self._sat_payload({"wx": 200})
+        solver = Solver()
+        assert solver.query_cache.load_state(payload) == 1
+        assert solver.check(extra=[cond]) == SAT
+        assert solver.model() == {"wx": 200}
+        assert solver.stats.cache_hit_sat == 1
+
+    @pytest.mark.parametrize("row", [
+        None, "junk", [["wx", 10]], {"wx": "abc"}, {"wx": -3}, {"wx": 1.5},
+    ])
+    def test_malformed_models_row_is_dropped(self, row):
+        cache = QueryCache()
+        cache.load_state({"version": 1, "models": [row, {"wx": 12}]})
+        assert [witness.model for witness in cache.witnesses()] \
+            == [{}, {"wx": 12}]

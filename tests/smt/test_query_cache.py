@@ -1,6 +1,6 @@
 """Unit tests for the solver query cache (repro.smt.cache) and the
 canonical query digests (terms.digest / terms.query_key), plus the
-regression pinning the model-cache LRU fix (bounded OrderedDict with
+regression pinning the witness-pool LRU (bounded OrderedDict with
 O(1) eviction replacing the old ``list.pop(0)`` FIFO)."""
 
 from repro.smt import SAT, UNSAT, Solver
@@ -104,24 +104,27 @@ class TestQueryCache:
         key = T.query_key([pred("qa", 200)])
         cache.store(key, SAT, {"qa": 1})
         cache.store(T.query_key([pred("qb", 200)]), SAT, {"qb": 2})
-        candidates = [model for model, _memo in cache.recent_models()]
+        candidates = [witness.model for witness in cache.witnesses()]
         assert candidates[0] == {}          # the all-zero assignment
         assert candidates[1] == {"qb": 2}   # newest stored model
         assert candidates[2] == {"qa": 1}
         # Bounded by model_probe (+ the implicit zero model).
         cache.store(T.query_key([pred("qc", 200)]), SAT, {"qc": 3})
-        assert len(list(cache.recent_models())) == 3
+        assert len(list(cache.witnesses())) == 3
 
     def test_model_memo_persists_across_replays(self):
         cache = QueryCache()
         cond = pred("qa", 200)
-        cache.store(T.query_key([cond]), SAT, {"qa": 7})
-        (_, zero_memo), (model, memo) = list(cache.recent_models())
-        assert T.all_true([cond], model, memo)
-        assert memo[cond._id] == 1   # memoized under the model's cache
+        stored = cache.store(T.query_key([cond]), SAT, {"qa": 7})
+        _zero, witness = list(cache.witnesses())
+        assert witness is stored
+        assert T.all_true([cond], witness.model, witness.memo)
+        assert witness.memo[cond._id] == 1   # memoized under the model
         # The same memo object is served again (persistent).
-        again = [m for _, m in cache.recent_models()][1]
-        assert again is memo
+        again = list(cache.witnesses())[1].memo
+        assert again is witness.memo
+        # Looking the model up by value shares the pooled memo.
+        assert cache.witness({"qa": 7}).memo is witness.memo
 
     def test_clear_resets_everything(self):
         cache = QueryCache()
@@ -196,45 +199,54 @@ class TestSolverQueryCacheLayer:
 
 
 class TestModelCacheLRURegression:
-    """Satellite fix: Solver._model_cache is a bounded OrderedDict.
+    """The witness pool is a bounded LRU (``QueryCache._models``).
 
-    The old implementation kept a list and evicted with ``pop(0)`` —
-    FIFO order and an O(n) shift per eviction.  These tests pin the new
-    contract: the bound holds exactly, eviction is least-recently-*used*
-    (a re-found model survives), and re-remembering refreshes recency.
+    An earlier model cache kept a list and evicted with ``pop(0)`` —
+    FIFO order and an O(n) shift per eviction.  These tests pin the
+    contract on the one pool left: the bound holds exactly, eviction is
+    least-recently-*used* (a replayed model survives), and remembering
+    a model twice keeps one entry.
     """
 
     @staticmethod
     def _solver():
-        # Isolate the model-cache layer from the query-cache layer.
-        return Solver(use_intervals=False, use_query_cache=False,
-                      model_cache_size=2)
+        # A two-witness pool; intervals off so only replay or CDCL answer.
+        solver = Solver(use_intervals=False)
+        solver.query_cache = QueryCache(model_probe=2)
+        return solver
+
+    @staticmethod
+    def _pooled_values(solver):
+        return [witness.model["qa"]
+                for witness in solver.query_cache._models.values()]
 
     def test_bound_is_exact(self):
         solver = self._solver()
         for value in (3, 7, 11, 13, 17):
             assert solver.check(
                 extra=[T.eq(T.var("qa", 8), T.bv(value, 8))]) == SAT
-        assert len(solver._model_cache) == 2
+        assert len(solver.query_cache._models) == 2
 
     def test_eviction_is_lru_not_fifo(self):
         solver = self._solver()
         x = T.var("qa", 8)
         assert solver.check(extra=[T.eq(x, T.bv(3, 8))]) == SAT   # A
         assert solver.check(extra=[T.eq(x, T.bv(7, 8))]) == SAT   # B
-        # Re-use A (model replay refreshes its recency via _remember).
+        # Replay A on a new query (the replay refreshes its recency).
         sat_calls = solver.stats.sat_calls
-        assert solver.check(extra=[T.eq(x, T.bv(3, 8))]) == SAT
-        assert solver.stats.sat_calls == sat_calls  # served from cache
+        assert solver.check(extra=[T.eq(x, T.bv(3, 8)),
+                                   T.ult(x, T.bv(50, 8))]) == SAT
+        assert solver.stats.sat_calls == sat_calls  # served from the pool
+        assert solver.stats.cache_model_reuse == 1
         # Inserting C must now evict B (LRU), not A (FIFO head).
         assert solver.check(extra=[T.eq(x, T.bv(11, 8))]) == SAT  # C
-        cached_values = [dict(model)["qa"]
-                         for model in solver._model_cache.values()]
+        cached_values = self._pooled_values(solver)
         assert 3 in cached_values, "LRU evicted the recently-used model"
         assert 7 not in cached_values, "expected the stale model evicted"
 
     def test_remember_is_idempotent(self):
-        solver = self._solver()
-        solver._remember({"qa": 1})
-        solver._remember({"qa": 1})
-        assert len(solver._model_cache) == 1
+        cache = QueryCache(model_probe=2)
+        first = cache.store(T.query_key([pred("qa", 200)]), SAT, {"qa": 1})
+        again = cache.store(T.query_key([pred("qb", 200)]), SAT, {"qa": 1})
+        assert again is first
+        assert len(cache._models) == 1
