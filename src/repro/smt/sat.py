@@ -6,6 +6,23 @@ minimization, EVSIDS branching, phase saving, and Luby restarts.  Pure
 Python, tuned for the clause counts the bit-blaster produces (tens of
 thousands of clauses), not for SAT-competition instances.
 
+The CNF persists across calls and grows to thousands of variables, so no
+decision and no :meth:`SatSolver.solve` call walks all of it:
+
+* **Decision heap.**  Branching picks the unassigned variable of highest
+  activity, lowest index first among ties, from a lazy binary heap of
+  ``(-activity, var)`` entries.  A variable gets an entry when it is
+  created and each time backtracking unassigns it; bumps only touch
+  assigned variables, so an entry whose variable is assigned or whose
+  activity has since grown is stale and is skipped when it reaches the
+  top.  Every unassigned variable always has an entry carrying its
+  current activity, so the heap's best live entry is exactly what a scan
+  over all variables would pick.  The activity rescale, and a heap grown
+  past four entries per variable, rebuild it from the unassigned
+  variables.
+* **Unit list.**  Unit clauses are kept in ``_units`` (and in
+  ``_clauses``, for export) and replayed at level 0 by each call.
+
 Literal encoding follows DIMACS: variables are positive integers, a negative
 integer denotes the negated literal.  Internally literals map to indices
 ``2*v`` (positive) and ``2*v + 1`` (negative) for array-based watch lists.
@@ -13,6 +30,7 @@ integer denotes the negated literal.  Internally literals map to indices
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence
 
 __all__ = ["SatSolver", "SAT", "UNSAT"]
@@ -25,11 +43,6 @@ _UNASSIGNED = -1
 
 def _lit_index(lit: int) -> int:
     return 2 * lit if lit > 0 else -2 * lit + 1
-
-
-def _index_lit(idx: int) -> int:
-    var = idx >> 1
-    return -var if idx & 1 else var
 
 
 def luby(i: int) -> int:
@@ -57,6 +70,7 @@ class SatSolver:
     def __init__(self, decay: float = 0.95, restart_base: int = 100):
         self._num_vars = 0
         self._clauses: List[List[int]] = []
+        self._units: List[int] = []
         self._learned: List[List[int]] = []
         self._watches: List[List[List[int]]] = [[], []]  # index -> clauses
         self._assign: List[int] = [_UNASSIGNED]          # var -> 0/1
@@ -64,6 +78,7 @@ class SatSolver:
         self._reason: List[Optional[List[int]]] = [None]
         self._phase: List[int] = [0]
         self._activity: List[float] = [0.0]
+        self._heap: List[tuple] = []   # lazy (-activity, var) decision heap
         self._var_inc = 1.0
         self._decay = decay
         self._restart_base = restart_base
@@ -86,6 +101,7 @@ class SatSolver:
         self._activity.append(0.0)
         self._watches.append([])
         self._watches.append([])
+        heappush(self._heap, (-0.0, self._num_vars))
         return self._num_vars
 
     def _ensure_var(self, var: int) -> None:
@@ -105,16 +121,32 @@ class SatSolver:
                 continue
             seen.add(lit)
             clause.append(lit)
-            self._ensure_var(abs(lit))
+            if abs(lit) > self._num_vars:
+                self._ensure_var(abs(lit))
         if not clause:
             self._empty_clause = True
             return
-        if len(clause) == 1:
-            # Stored as a clause so assumptions/restarts replay it uniformly.
-            self._clauses.append(clause)
-            return
-        self._attach(clause)
         self._clauses.append(clause)
+        if len(clause) == 1:
+            self._units.append(clause[0])
+            return
+        if self._root_false(clause[0]) or self._root_false(clause[1]):
+            # Literals false at level 0 stay false and are never
+            # propagated again, so they must not be watched: move the
+            # others to the front.  None left is a contradiction; one
+            # left is a unit for the next call to replay.
+            live = [lit for lit in clause if not self._root_false(lit)]
+            clause[:] = live + [lit for lit in clause
+                                if self._root_false(lit)]
+            if not live:
+                self._empty_clause = True
+            elif len(live) == 1:
+                self._units.append(live[0])
+        self._attach(clause)
+
+    def _root_false(self, lit: int) -> bool:
+        var = lit if lit > 0 else -lit
+        return self._assign[var] == (lit < 0) and self._level[var] == 0
 
     def _attach(self, clause: List[int]) -> None:
         self._watches[_lit_index(-clause[0])].append(clause)
@@ -152,11 +184,18 @@ class SatSolver:
 
     def _propagate(self) -> Optional[List[int]]:
         """Unit propagation; returns a conflicting clause or None."""
-        while self._queue_head < len(self._trail):
-            lit = self._trail[self._queue_head]
-            self._queue_head += 1
-            self.stats["propagations"] += 1
-            watch_list = self._watches[_lit_index(lit)]
+        # Inlined _value/_lit_index/_enqueue: this is the solver's hot loop.
+        # A literal ``l`` is false when its variable's value equals
+        # ``l < 0``, and true when it equals ``l > 0`` (an unassigned -1
+        # equals neither).
+        trail = self._trail
+        assign = self._assign
+        watches = self._watches
+        start = head = self._queue_head
+        while head < len(trail):
+            lit = trail[head]
+            head += 1
+            watch_list = watches[2 * lit if lit > 0 else -2 * lit + 1]
             i = 0
             while i < len(watch_list):
                 clause = watch_list[i]
@@ -164,36 +203,56 @@ class SatSolver:
                 if clause[0] == -lit:
                     clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._value(first) == 1:
+                first_val = assign[first] if first > 0 else assign[-first]
+                if first_val == (first > 0):
                     i += 1
                     continue
                 # Look for a replacement watch.
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._value(clause[k]) != 0:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watches[_lit_index(-clause[1])].append(clause)
+                    other = clause[k]
+                    if (assign[other] if other > 0
+                            else assign[-other]) != (other < 0):
+                        clause[1], clause[k] = other, clause[1]
+                        watches[2 * other + 1 if other > 0
+                                else -2 * other].append(clause)
                         watch_list[i] = watch_list[-1]
                         watch_list.pop()
-                        moved = True
                         break
-                if moved:
-                    continue
-                # Clause is unit or conflicting.
-                if self._value(first) == 0:
-                    return clause
-                self._enqueue(first, clause)
-                i += 1
+                else:
+                    # Clause is unit or conflicting.
+                    if first_val != _UNASSIGNED:
+                        self._queue_head = head
+                        self.stats["propagations"] += head - start
+                        return clause
+                    var = first if first > 0 else -first
+                    assign[var] = 1 if first > 0 else 0
+                    self._level[var] = len(self._trail_lim)
+                    self._reason[var] = clause
+                    trail.append(first)
+                    i += 1
+        self._queue_head = head
+        self.stats["propagations"] += head - start
         return None
 
     # -- conflict analysis ---------------------------------------------------
 
     def _bump(self, var: int) -> None:
+        # Only assigned variables are bumped (they sit in the conflict's
+        # reasons), so their heap entries are renewed when they are
+        # unassigned and no push is needed here.
         self._activity[var] += self._var_inc
         if self._activity[var] > 1e100:
             for v in range(1, self._num_vars + 1):
                 self._activity[v] *= 1e-100
             self._var_inc *= 1e-100
+            self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        activity = self._activity
+        assign = self._assign
+        self._heap = [(-activity[v], v) for v in range(1, self._num_vars + 1)
+                      if assign[v] == _UNASSIGNED]
+        heapify(self._heap)
 
     def _analyze(self, conflict: List[int]):
         """First-UIP learning; returns (learned clause, backtrack level)."""
@@ -257,25 +316,34 @@ class SatSolver:
         if len(self._trail_lim) <= level:
             return
         limit = self._trail_lim[level]
+        assign = self._assign
+        phase = self._phase
+        reason = self._reason
+        activity = self._activity
+        heap = self._heap
         for lit in reversed(self._trail[limit:]):
             var = abs(lit)
-            self._phase[var] = self._assign[var]
-            self._assign[var] = _UNASSIGNED
-            self._reason[var] = None
+            phase[var] = assign[var]
+            assign[var] = _UNASSIGNED
+            reason[var] = None
+            heappush(heap, (-activity[var], var))
         del self._trail[limit:]
         del self._trail_lim[level:]
         self._queue_head = len(self._trail)
+        if len(heap) > 4 * self._num_vars:
+            self._rebuild_heap()
 
     def _pick_branch(self) -> int:
-        best_var = 0
-        best_act = -1.0
-        for var in range(1, self._num_vars + 1):
-            if self._assign[var] == _UNASSIGNED and self._activity[var] > best_act:
-                best_act = self._activity[var]
-                best_var = var
-        if best_var == 0:
-            return 0
-        return best_var if self._phase[best_var] else -best_var
+        """The unassigned variable of highest activity (lowest index among
+        ties), signed by its saved phase; 0 when every variable is set."""
+        heap = self._heap
+        assign = self._assign
+        activity = self._activity
+        while heap:
+            neg_act, var = heappop(heap)
+            if assign[var] == _UNASSIGNED and -neg_act == activity[var]:
+                return var if self._phase[var] else -var
+        return 0
 
     # -- main loop -----------------------------------------------------------
 
@@ -285,8 +353,8 @@ class SatSolver:
             return UNSAT
         self._backtrack(0)
         # Replay unit clauses at level 0.
-        for clause in self._clauses:
-            if len(clause) == 1 and not self._enqueue(clause[0], None):
+        for lit in self._units:
+            if not self._enqueue(lit, None):
                 return UNSAT
         if self._propagate() is not None:
             return UNSAT
