@@ -349,7 +349,7 @@ def compile_symbolic(model) -> Tuple[Dict[str, tuple], str]:
 def exec_block(engine, state, decoded, plan):
     """Compiled replacement for ``Engine._exec_block``."""
     from ..core.executor import _Outcome
-    FT = engine._compiled_fields(decoded)
+    FT = engine._field_terms(decoded)
     return _run(engine, state, [(plan, 0)], {}, _Outcome(), FT,
                 decoded.fields, decoded)
 

@@ -268,11 +268,12 @@ class Engine:
         self._addr_width = model.pc_width
         # Specialized transfer functions (repro.compile): plans compiled
         # once per (isa, spec digest) and dispatched per instruction in
-        # _exec_block.  Field terms are cached per decoded word because
-        # term identity may matter to the solver's structural caches —
-        # per-engine only, never across terms.configure() (the engine
-        # lifetime is within one pool configuration).
+        # _exec_block.
         self._compiled = None
+        # Field-name -> constant term dicts for both semantics paths
+        # (see _field_terms); per-engine only, never across
+        # terms.configure() (the engine lifetime is within one pool
+        # configuration).
         self._field_term_cache: Dict = {}
         if self.config.compiled_semantics:
             from ..compile import compiled_for
@@ -740,22 +741,24 @@ class Engine:
             from ..compile import symbolic as _compiled_sym
             plan = self._compiled.plans[decoded.instruction.name]
             return _compiled_sym.exec_block(self, state, decoded, plan)
-        fields = {name: T.bv(value, self._field_width(decoded, name))
-                  for name, value in decoded.fields.items()}
+        fields = self._field_terms(decoded)
         frames = [(decoded.instruction.semantics, 0)]
         return self._run_frames(state, frames, {}, _Outcome(), fields,
                                 decoded)
 
-    def _compiled_fields(self, decoded) -> Dict[str, T.Term]:
-        """Field-name -> term dict for one decoded word, cached.
+    def _field_terms(self, decoded) -> Dict[str, T.Term]:
+        """Field-name -> constant term dict for one decoded instruction,
+        cached for both the interpreted and the compiled path.
 
-        Keyed on ``(address, word)`` — :class:`Decoded` is slotted and
-        the decoder's own cache can be cleared underneath us, so object
-        identity is not a safe key.  Holding Term objects here is safe
+        Keyed on content (instruction name plus field values): the
+        :class:`Decoded` object is slotted and the decoder's own cache
+        can be cleared underneath us, so object identity is not a safe
+        key, and a decoded record need not carry its raw word.  Callers
+        must not mutate the dict.  Holding Term objects here is safe
         only because the cache dies with the engine, which lives inside
         a single term-pool configuration.
         """
-        key = (decoded.address, decoded.word)
+        key = (decoded.instruction.name, tuple(decoded.fields.items()))
         fields = self._field_term_cache.get(key)
         if fields is None:
             fields = {name: T.bv(value, self._field_width(decoded, name))

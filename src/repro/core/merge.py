@@ -61,6 +61,12 @@ def try_merge(a: SymState, b: SymState) -> Optional[SymState]:
     merged = a.fork()
     merged.parent_id = a.state_id
     merged.path_condition = prefix + [T.or_(select_a, T.conjoin(extra_b))]
+    if merged.frame is not None:
+        # The fork kept a's frame, whose watermark may run past the
+        # prefix into a's own conjuncts, now replaced by the
+        # disjunction: make frame replay validate the disjunction.
+        witness, checked = merged.frame
+        merged.frame = (witness, min(checked, len(prefix)))
     for name, regs_a in a.regfiles.items():
         regs_b = b.regfiles[name]
         merged_regs = merged.regfiles[name]

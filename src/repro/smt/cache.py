@@ -158,11 +158,15 @@ class QueryCache:
     # -- insertion -----------------------------------------------------------
 
     def store(self, key: FrozenSet[bytes], verdict: str,
-              model: Optional[Dict[str, int]] = None) -> Optional[Witness]:
+              model: Optional[Dict[str, int]] = None,
+              witness: Optional[Witness] = None) -> Optional[Witness]:
         """Record a decided query (idempotent; refreshes recency).
 
         A SAT ``model`` enters the witness pool (or refreshes its
-        pooled twin); the pooled witness is returned."""
+        pooled twin); the pooled witness is returned.  ``witness``, if
+        given, is :meth:`witness` of the same model: when the model is
+        new to the pool it is pooled itself, keeping the memo it has
+        accumulated (the solver's model check)."""
         if key in self._entries:
             self._entries.move_to_end(key)
             entry = self._entries[key]
@@ -175,7 +179,7 @@ class QueryCache:
             self._remember_unsat(key)
         elif model is not None:
             entry.model = model
-            return self._remember_model(model)
+            return self._remember_model(model, witness)
         return None
 
     def _remember_unsat(self, key: FrozenSet[bytes]) -> None:
@@ -192,16 +196,19 @@ class QueryCache:
         if len(self._unsat_sets) > self.max_unsat_sets:
             self._unsat_sets.popitem(last=False)
 
-    def _remember_model(self, model: Dict[str, int]) -> Witness:
+    def _remember_model(self, model: Dict[str, int],
+                        witness: Optional[Witness] = None) -> Witness:
         if not model:
             return self.zero  # always a candidate already
         fingerprint = _fingerprint(model)
-        witness = self._models.get(fingerprint)
-        if witness is not None:
+        pooled = self._models.get(fingerprint)
+        if pooled is not None:
             # Refresh recency, keep the accumulated memo.
             self._models.move_to_end(fingerprint)
-            return witness
-        witness = self._models[fingerprint] = Witness(model)
+            return pooled
+        if witness is None:
+            witness = Witness(model)
+        self._models[fingerprint] = witness
         if len(self._models) > self.model_probe:
             self._models.popitem(last=False)
         return witness

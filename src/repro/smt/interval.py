@@ -5,11 +5,21 @@ condition is exactly ``[0, 0]`` the query is unsatisfiable without touching
 the SAT solver.  The analysis is deliberately simple — soundness means the
 computed interval always *contains* every feasible value, so ``[0, 0]``
 implies genuinely-unsat while anything else is "don't know".
+
+The interval of a term depends on nothing but the term (term ids are
+process-unique and terms immutable), so a caller that refutes many
+conjunctions over one growing path condition can pass the same
+``{tid: interval}`` memo to every :func:`refute_conjunction` call and pay
+only for the conjuncts it has not seen before (:class:`~repro.smt.Solver`
+keeps one per solver).  The memo is bypassed whenever a ``var <op> const``
+atom refines a variable's bounds: those intervals hold only under that
+conjunction, so they go to a fresh cache seeded with the bounds and never
+into the memo.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import terms as T
 
@@ -207,13 +217,18 @@ def _atom_bounds(cond: T.Term, bounds: Dict[int, Interval]) -> None:
     bounds[v.tid] = (lo, hi)
 
 
-def refute_conjunction(conds) -> bool:
+def refute_conjunction(conds,
+                       memo: Optional[Dict[int, Interval]] = None) -> bool:
     """True when interval propagation proves the conjunction unsatisfiable.
 
     First pass harvests per-variable bounds from atomic predicates; second
     pass re-evaluates every conjunct's interval with those refined variable
     ranges.  An empty variable range or a conjunct pinned to 0 is a proof of
     unsatisfiability.
+
+    ``memo`` is a per-term interval memo shared across calls; it is read
+    and extended only when no atom refined a bound (see the module
+    docstring), so the answer never depends on it.
     """
     conds = list(conds)
     bounds: Dict[int, Interval] = {}
@@ -222,7 +237,7 @@ def refute_conjunction(conds) -> bool:
     for lo, hi in bounds.values():
         if lo > hi:
             return True
-    cache: Dict[int, Interval] = dict(bounds)
+    cache = memo if memo is not None and not bounds else dict(bounds)
     for cond in conds:
         if interval(cond, cache) == (0, 0):
             return True

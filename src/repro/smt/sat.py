@@ -11,14 +11,18 @@ decision and no :meth:`SatSolver.solve` call walks all of it:
 
 * **Decision heap.**  Branching picks the unassigned variable of highest
   activity, lowest index first among ties, from a lazy binary heap of
-  ``(-activity, var)`` entries.  A variable gets an entry when it is
-  created and each time backtracking unassigns it; bumps only touch
-  assigned variables, so an entry whose variable is assigned or whose
-  activity has since grown is stale and is skipped when it reaches the
-  top.  Every unassigned variable always has an entry carrying its
-  current activity, so the heap's best live entry is exactly what a scan
-  over all variables would pick.  The activity rescale, and a heap grown
-  past four entries per variable, rebuild it from the unassigned
+  ``(-activity, var)`` entries.  An entry is *current* while its
+  activity equals the variable's; bumps only touch assigned variables
+  and leave their entries stale, and stale entries, or current ones
+  whose variable is assigned, are skipped when they reach the top.  A
+  per-variable ``_in_heap`` flag is true exactly while the heap holds a
+  current entry for the variable: creation pushes one, backtracking
+  pushes one for each variable it unassigns *unless* the flag says one
+  is already there, popping a current entry and bumping clear it.  So
+  every unassigned variable has exactly one current entry, and the
+  heap's best live entry is exactly what a scan over all variables
+  would pick.  The activity rescale, and a heap grown past four entries
+  per variable, rebuild it (and the flags) from the unassigned
   variables.
 * **Unit list.**  Unit clauses are kept in ``_units`` (and in
   ``_clauses``, for export) and replayed at level 0 by each call.
@@ -79,6 +83,7 @@ class SatSolver:
         self._phase: List[int] = [0]
         self._activity: List[float] = [0.0]
         self._heap: List[tuple] = []   # lazy (-activity, var) decision heap
+        self._in_heap: List[bool] = [False]   # var has a current entry
         self._var_inc = 1.0
         self._decay = decay
         self._restart_base = restart_base
@@ -101,6 +106,7 @@ class SatSolver:
         self._activity.append(0.0)
         self._watches.append([])
         self._watches.append([])
+        self._in_heap.append(True)
         heappush(self._heap, (-0.0, self._num_vars))
         return self._num_vars
 
@@ -238,9 +244,10 @@ class SatSolver:
 
     def _bump(self, var: int) -> None:
         # Only assigned variables are bumped (they sit in the conflict's
-        # reasons), so their heap entries are renewed when they are
-        # unassigned and no push is needed here.
+        # reasons): their entry, if any, is now stale, and backtracking
+        # pushes a current one when it unassigns them.
         self._activity[var] += self._var_inc
+        self._in_heap[var] = False
         if self._activity[var] > 1e100:
             for v in range(1, self._num_vars + 1):
                 self._activity[v] *= 1e-100
@@ -253,6 +260,8 @@ class SatSolver:
         self._heap = [(-activity[v], v) for v in range(1, self._num_vars + 1)
                       if assign[v] == _UNASSIGNED]
         heapify(self._heap)
+        self._in_heap = [value == _UNASSIGNED for value in assign]
+        self._in_heap[0] = False
 
     def _analyze(self, conflict: List[int]):
         """First-UIP learning; returns (learned clause, backtrack level)."""
@@ -320,13 +329,16 @@ class SatSolver:
         phase = self._phase
         reason = self._reason
         activity = self._activity
+        in_heap = self._in_heap
         heap = self._heap
         for lit in reversed(self._trail[limit:]):
             var = abs(lit)
             phase[var] = assign[var]
             assign[var] = _UNASSIGNED
             reason[var] = None
-            heappush(heap, (-activity[var], var))
+            if not in_heap[var]:
+                in_heap[var] = True
+                heappush(heap, (-activity[var], var))
         del self._trail[limit:]
         del self._trail_lim[level:]
         self._queue_head = len(self._trail)
@@ -339,10 +351,13 @@ class SatSolver:
         heap = self._heap
         assign = self._assign
         activity = self._activity
+        in_heap = self._in_heap
         while heap:
             neg_act, var = heappop(heap)
-            if assign[var] == _UNASSIGNED and -neg_act == activity[var]:
-                return var if self._phase[var] else -var
+            if -neg_act == activity[var]:
+                in_heap[var] = False
+                if assign[var] == _UNASSIGNED:
+                    return var if self._phase[var] else -var
         return 0
 
     # -- main loop -----------------------------------------------------------

@@ -17,10 +17,18 @@ then tries these layers in order, cheapest first:
    store: the engine's per-state frames hold pool witnesses too (see
    :meth:`Solver.witness`).
 4. **Interval pre-filter** — conservative range analysis proves easy
-   unsats (e.g. contradictory equalities on the same variable).
+   unsats (e.g. contradictory equalities on the same variable).  The
+   solver keeps one per-term interval memo across checks, so a check
+   only pays for the conjuncts no earlier check has seen
+   (``repro.smt.interval``).
 5. **Bit-blast + CDCL** — the complete decision procedure.  Assertions are
    blasted into one persistent CNF and each check solves under assumptions,
-   so learned clauses carry over between path-feasibility queries.
+   so learned clauses carry over between path-feasibility queries.  Every
+   SAT model is checked against the query before it is returned, cached
+   or pooled; the check evaluates through the memo of the pool witness
+   the model becomes, so the witness pool's and the engine frames' later
+   replays of the same conjuncts under that model are memo hits.  With
+   the query cache off the check uses a fresh memo.
 
 Layers 1–3 answer without solving: they are *not* counted as solver
 work (no ``solver_check`` event, no ``solver`` ledger scope, no
@@ -41,7 +49,7 @@ from typing import Dict, Iterable, List, Optional
 from . import terms as T
 from .bitblast import BitBlaster
 from .cache import QueryCache, Witness
-from .interval import refute_conjunction
+from .interval import Interval, refute_conjunction
 from .sat import SAT, UNSAT, SatSolver
 
 __all__ = ["Solver", "SolverStats", "SAT", "UNSAT"]
@@ -120,6 +128,8 @@ class Solver:
         # The pool witness behind the last SAT answer (None with the
         # query cache off).
         self._last_witness: Optional[Witness] = None
+        # Per-term interval memo for the interval pre-filter (layer 4).
+        self._interval_memo: Dict[int, Interval] = {}
         self.query_cache = QueryCache(max_entries=query_cache_size) \
             if use_query_cache else None
         self.stats = SolverStats()
@@ -211,8 +221,11 @@ class Solver:
         else:
             self.stats.unsat_results += 1
         if key is not None:
-            self._last_witness = self.query_cache.store(
-                key, result, self._last_model if result == SAT else None)
+            if result == SAT:
+                self._last_witness = self.query_cache.store(
+                    key, SAT, self._last_model, self._last_witness)
+            else:
+                self._last_witness = self.query_cache.store(key, UNSAT)
         tracer = self._obs_tracer
         if tracer is not None and tracer.enabled:
             tracer.emit("solver_check", result=result,
@@ -300,8 +313,10 @@ class Solver:
             return UNSAT
         if not conds:
             self._last_model = {}
+            self._last_witness = None
             return SAT
-        if self.use_intervals and refute_conjunction(conds):
+        if self.use_intervals and refute_conjunction(conds,
+                                                     self._interval_memo):
             self.stats.interval_unsat += 1
             return UNSAT
         self.stats.sat_calls += 1
@@ -309,12 +324,18 @@ class Solver:
         if self._blaster.sat.solve(assumptions) == UNSAT:
             return UNSAT
         model = self._blaster.extract_model(self._blaster.sat.model())
-        self._last_model = model
         # Internal consistency check: the model must actually satisfy the
-        # query (catches bit-blaster bugs immediately).
-        if not T.all_true(conds, model):
+        # query (catches bit-blaster bugs immediately).  It evaluates
+        # through the memo of the witness the model becomes (pooled by
+        # check() only if it passes), so later replays reuse the work.
+        witness = self.query_cache.witness(model) \
+            if self.query_cache is not None else None
+        if not T.all_true(conds, model,
+                          witness.memo if witness is not None else None):
             raise T.SmtError("solver produced a model that does not satisfy "
                              "the query; this is a bug in the bit-blaster")
+        self._last_model = model
+        self._last_witness = witness
         return SAT
 
     def model(self) -> Dict[str, int]:

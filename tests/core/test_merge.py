@@ -11,6 +11,8 @@ from repro.core.strategy import BfsStrategy
 from repro.isa import assemble, build, run_image
 from repro.programs import build_kernel
 from repro.smt import terms as T
+from repro.smt.cache import Witness
+from repro.smt.sat import UNSAT
 
 
 def make_state(pc=0x1000):
@@ -83,6 +85,45 @@ class TestTryMerge:
         state.assume(T.eq(T.var("mg_d", 8), T.bv(1, 8)))
         twin = state.fork()
         assert try_merge(state, twin) is state
+
+
+class TestMergedFrame:
+    """The merged state's frame must not vouch for the new disjunction.
+
+    ``a``'s frame witness was validated on the shared prefix and the
+    first of ``a``'s own conjuncts only, and it falsifies the second.
+    After the merge the path condition is ``prefix + [a-side or
+    b-side]``; a watermark past the prefix would skip the disjunction,
+    which the witness falsifies, and answer SAT from the frame."""
+
+    def merged_pair(self):
+        x = T.var("mg_frame", 8)
+        parent = make_state()
+        parent.assume(T.ne(x, T.bv(200, 8)))
+        a = parent.fork()
+        a.assume(T.ult(x, T.bv(10, 8)))
+        a.assume(T.ult(T.bv(5, 8), x))
+        b = parent.fork()
+        b.assume(T.eq(x, T.bv(100, 8)))
+        a.frame = (Witness({"mg_frame": 1}), 2)
+        return try_merge(a, b), x
+
+    def test_watermark_clamped_to_prefix(self):
+        merged, _ = self.merged_pair()
+        witness, checked = merged.frame
+        assert witness.model == {"mg_frame": 1}
+        assert checked == 1
+
+    def test_branch_the_solver_refutes_is_not_answered_by_the_frame(self):
+        merged, x = self.merged_pair()
+        engine = Engine(merged.model)
+        branch = T.eq(x, T.bv(1, 8))
+        assert engine.solver.check(
+            extra=merged.path_condition + [branch]) == UNSAT
+        verdict, witness = engine._branch_feasible(merged, branch)
+        assert verdict == UNSAT and witness is None
+        assert merged.frame is None
+        assert engine.solver.stats.frame_reuse == 0
 
 
 class TestMergingFrontier:

@@ -157,6 +157,37 @@ class TestIntervalSoundness:
             assert not refute_conjunction([cond])
 
 
+@st.composite
+def conjuncts(draw):
+    """A boolean 8-bit conjunct: a predicate over two random terms, or a
+    ``var <op> const`` atom (possibly negated) that refines bounds."""
+    if draw(st.booleans()):
+        atom = _PREDICATES[draw(st.sampled_from(["eq", "ult", "ule"]))]
+        var = T.var(draw(st.sampled_from(["pa", "pb", "pc"])), WIDTH)
+        const = T.bv(draw(st.integers(0, 255)), WIDTH)
+        cond = atom(var, const) if draw(st.booleans()) else atom(const, var)
+    else:
+        cond = _PREDICATES[draw(st.sampled_from(sorted(_PREDICATES)))](
+            draw(term_trees(depth=2)), draw(term_trees(depth=2)))
+    return T.not_(cond) if draw(st.booleans()) else cond
+
+
+class TestIntervalMemo:
+    @given(st.lists(conjuncts(), min_size=1, max_size=8),
+           st.lists(st.lists(st.integers(0, 7), max_size=6), min_size=1,
+                    max_size=12))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_shared_memo_never_changes_the_answer(self, pool, picks):
+        """A stream of conjunctions over one pool of conjuncts (each a
+        random selection, so prefixes and repeats recur), all refuted
+        through one shared memo, answers like fresh caches."""
+        memo = {}
+        for pick in picks:
+            conds = [pool[index % len(pool)] for index in pick]
+            assert refute_conjunction(conds, memo) == \
+                refute_conjunction(conds)
+
+
 class TestSolverSoundness:
     @given(term_trees(depth=2), term_trees(depth=2))
     @settings(max_examples=60, deadline=None)

@@ -107,3 +107,41 @@ class TestRefuteConjunction:
             witness = {"rc_r": lo}
             assert all(evaluate(c, witness) == 1 for c in conds)
             assert not refute_conjunction(conds)
+
+
+class TestIntervalMemo:
+    """The shared per-term memo is read and written only by calls whose
+    conjunction refines no variable bound."""
+
+    def test_refined_bounds_never_enter_the_memo(self):
+        x = T.var("im_x", 8)
+        plus = T.eq(T.add(x, bv8(1)), bv8(10))
+        memo = {}
+        # x < 3 bounds x to [0, 2], so x + 1 == 10 is refuted ...
+        assert refute_conjunction([T.ult(x, bv8(3)), plus], memo)
+        assert memo == {}
+        # ... but without the bound it is satisfiable (x = 9).
+        assert not refute_conjunction([plus], memo)
+        assert memo[x.tid] == (0, 255)
+        assert memo[plus.tid] == (0, 1)
+
+    def test_bounded_call_ignores_memo_entries(self):
+        x = T.var("im_y", 8)
+        plus = T.eq(T.add(x, bv8(1)), bv8(10))
+        memo = {}
+        assert not refute_conjunction([plus], memo)
+        before = dict(memo)
+        assert refute_conjunction([T.ult(x, bv8(3)), plus], memo)
+        assert memo == before
+
+    def test_memo_matches_fresh_cache(self):
+        x, y = T.var("im_a", 8), T.var("im_b", 8)
+        conds = [T.ult(T.add(x, y), bv8(5)),
+                 T.eq(T.and_(x, bv8(0xf0)), bv8(0x10)),
+                 T.ule(T.mul(y, bv8(2)), T.add(x, bv8(1)))]
+        memo = {}
+        for end in range(len(conds) + 1):
+            assert refute_conjunction(conds[:end], memo) \
+                == refute_conjunction(conds[:end])
+        for cond in conds:
+            assert memo[cond.tid] == interval(cond)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -229,19 +230,31 @@ class TestClausesAddedAfterSolve:
 
 
 class _CheckedSolver(SatSolver):
-    """Checks every decision against a linear scan over all variables."""
+    """Checks every decision against a linear scan over all variables,
+    and the heap's entries against the ``_in_heap`` flags."""
 
     def __init__(self):
         super().__init__()
         self.picks = 0
+        self.kept = 0   # unassigned vars whose current entry was kept
+
+    def _backtrack(self, level):
+        if len(self._trail_lim) > level:
+            self.kept += sum(self._in_heap[abs(lit)] for lit in
+                             self._trail[self._trail_lim[level]:])
+        super()._backtrack(level)
 
     def _pick_branch(self):
-        entries = set(self._heap)
+        entries = Counter(self._heap)
         best_var, best_act = 0, -1.0
         for var in range(1, self.num_vars + 1):
+            # Heap invariant: at most one entry with the current activity
+            # (exactly one when unassigned), and _in_heap says which.
+            current = entries[(-self._activity[var], var)]
+            assert current <= 1, var
+            assert self._in_heap[var] == (current == 1), var
             if self._assign[var] == _UNASSIGNED:
-                # Heap invariant: an entry with the current activity.
-                assert (-self._activity[var], var) in entries, var
+                assert current == 1, var
                 if self._activity[var] > best_act:
                     best_var, best_act = var, self._activity[var]
         assert len(self._heap) <= 4 * self.num_vars
@@ -277,6 +290,12 @@ class TestDecisionHeap:
     def test_heap_picks_what_the_scan_picks(self):
         picks = sum(self._run(seed).picks for seed in range(12))
         assert picks > 500
+
+    def test_backtracking_skips_vars_with_a_current_entry(self):
+        # Variables assigned by propagation before their entry reached
+        # the top keep that entry through a backtrack; the scan check
+        # above asserts no second one was pushed.
+        assert sum(self._run(seed).kept for seed in range(12)) > 100
 
     def test_rescale_rebuilds_the_heap(self):
         for seed in range(4):

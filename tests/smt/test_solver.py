@@ -237,6 +237,42 @@ class TestFilterLayers:
         assert stats["checks"] == 1
 
 
+class TestModelCheck:
+    """Every SAT model is checked against the query, with the query cache
+    on (through the memo of the witness the model would become) and off
+    (a fresh memo); a model that fails is neither cached nor pooled."""
+
+    @pytest.mark.parametrize("use_query_cache", [True, False],
+                             ids=["cache", "no-cache"])
+    def test_wrong_model_raises_and_is_not_kept(self, use_query_cache):
+        s = Solver(use_query_cache=use_query_cache)
+        x = T.var("mc_x", 8)
+        query = [T.eq(x, bv8(3))]
+        # A first, honest answer so the pool holds a witness.
+        assert s.check([T.eq(x, bv8(7))]) == SAT
+        bad = {"mc_x": 4}
+        s._blaster.extract_model = lambda sat_model: dict(bad)
+        with pytest.raises(T.SmtError):
+            s.check(query)
+        cache = s.query_cache
+        if cache is None:
+            return
+        assert all(w.model != bad for w in cache.witnesses())
+        assert cache.lookup(T.query_key(query)) is None
+        assert all(entry.model != bad
+                   for entry in cache._entries.values())
+
+    def test_model_check_fills_the_pooled_witness_memo(self):
+        s = Solver()
+        x = T.var("mc_y", 8)
+        cond = T.eq(T.add(x, bv8(1)), bv8(10))
+        assert s.check([cond]) == SAT
+        witness = s.witness()
+        assert witness.model == {"mc_y": 9}
+        assert witness in list(s.query_cache.witnesses())
+        assert witness.memo[cond.tid] == 1
+
+
 class TestWiderWidths:
     def test_32bit_arithmetic(self):
         s = Solver()
