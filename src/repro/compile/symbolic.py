@@ -342,7 +342,7 @@ def compile_symbolic(model) -> Tuple[Dict[str, tuple], str]:
 
 # -- plan driver --------------------------------------------------------------
 #
-# Mirrors Engine._exec_block / _run_frames / _exec_simple / _fork_if.
+# Mirrors Engine._exec_block / _run_frames / _exec_* / _fork_if.
 # Any change to the engine's fork/assume/query order must be replicated
 # here (the differential harness in tests/compile will catch drift).
 

@@ -19,6 +19,9 @@ Execution model
   solver-enumerated and the path constrained to the found values (the
   standard angr-style compromise; enumeration shortfalls are counted in
   the stats, never silent).
+* Each decoded instruction carries its field terms and a memo of its
+  folded closed subexpressions, shared per term pool (see
+  :meth:`Engine._field_terms` and :meth:`Engine._eval`).
 
 Checkers (enabled via :class:`EngineConfig`): division by zero, unmapped
 (out-of-bounds) access, write to read-only regions, uninitialized reads in
@@ -28,8 +31,10 @@ tracked regions, reachable traps, undecodable instructions.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+import weakref
+from typing import Dict, List, Optional, Tuple
 
+from ..ir import interp
 from ..ir import nodes as N
 from ..isa.decoder import DecodeError
 from ..obs import Obs
@@ -203,6 +208,58 @@ class _PathEnd(Exception):
         super().__init__(reason)
 
 
+class _FieldTerms(dict):
+    """A decoded instruction's field-name -> constant term dict, plus
+    ``folded``: its memo of closed IR subexpressions (IR node -> term, or
+    ``_OPEN`` for a node that is not closed); None when the pool does not
+    simplify."""
+
+    __slots__ = ("folded",)
+
+
+# Memo marker for an IR node that is not closed.
+_OPEN = object()
+
+# Term pool -> Decoded -> _FieldTerms; see Engine._field_terms.  Both
+# levels are weak, so an entry dies with its pool (cached terms never
+# outlive a terms.configure()) or with its decoded instruction (and so
+# with a discarded model's decoder).
+_FIELD_TERMS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _closed(expr: N.Expr) -> bool:
+    """True if ``expr`` depends only on constants, instruction fields and
+    the pc, which a decoded instruction fixes, and has no side effect:
+    register reads, loads, locals and input are open, and so is a
+    division, whose divisor the div-zero checker must see every time."""
+    kind = type(expr)
+    if kind is N.Const or kind is N.Field or kind is N.Pc:
+        return True
+    if kind is N.BinOp:
+        return (expr.op not in Engine._DIV_OPS and _closed(expr.left)
+                and _closed(expr.right))
+    if kind is N.UnOp or kind is N.Ext or kind is N.ExtractBits:
+        return _closed(expr.operand)
+    if kind is N.ConcatBits:
+        return _closed(expr.hi_part) and _closed(expr.lo_part)
+    if kind is N.IteExpr:
+        return (_closed(expr.cond) and _closed(expr.then)
+                and _closed(expr.other))
+    return False
+
+
+class _PcContext(interp.MachineContext):
+    """The only machine state a closed expression reads: the pc."""
+
+    __slots__ = ("pc",)
+
+    def __init__(self, pc: int):
+        self.pc = pc
+
+    def current_pc(self) -> int:
+        return self.pc
+
+
 class Engine:
     """Symbolic executor over a generated :class:`ArchModel`."""
 
@@ -265,16 +322,11 @@ class Engine:
         self._result: Optional[R.ExplorationResult] = None
         self._defect_sites: set = set()
         self._endian = model.endian
-        self._addr_width = model.pc_width
+        self._pc_mask = T.mask(model.pc_width)
         # Specialized transfer functions (repro.compile): plans compiled
         # once per (isa, spec digest) and dispatched per instruction in
         # _exec_block.
         self._compiled = None
-        # Field-name -> constant term dicts for both semantics paths
-        # (see _field_terms); per-engine only, never across
-        # terms.configure() (the engine lifetime is within one pool
-        # configuration).
-        self._field_term_cache: Dict = {}
         if self.config.compiled_semantics:
             from ..compile import compiled_for
             self._compiled = compiled_for(model)
@@ -513,8 +565,7 @@ class Engine:
                 except _PathEnd as dead:
                     self._dead_end(state, dead.reason)
                     return []
-                state.pc = (state.pc + decoded.length) \
-                    & T.mask(self._addr_width)
+                state.pc = (state.pc + decoded.length) & self._pc_mask
                 return [state]
             return list(successors)
         try:
@@ -525,7 +576,7 @@ class Engine:
         for checker in self._checkers:
             checker(self, state, decoded)
         result.instructions_executed += 1
-        cond_base = len(state.path_condition)
+        cond_base = len(state.path_condition) if tracer.enabled else 0
         if tracer.enabled:
             tracer.emit("step", state_id=state.state_id, pc=state.pc,
                         instr=decoded.instruction.name)
@@ -691,7 +742,7 @@ class Engine:
     def _advance_pc(self, state: SymState, outcome: _Outcome, decoded,
                     result: R.ExplorationResult) -> List[SymState]:
         if outcome.next_pc is None:
-            state.pc = (state.pc + decoded.length) & T.mask(self._addr_width)
+            state.pc = (state.pc + decoded.length) & self._pc_mask
             return [state]
         target = outcome.next_pc
         if target.is_const():
@@ -746,25 +797,29 @@ class Engine:
         return self._run_frames(state, frames, {}, _Outcome(), fields,
                                 decoded)
 
-    def _field_terms(self, decoded) -> Dict[str, T.Term]:
-        """Field-name -> constant term dict for one decoded instruction,
-        cached for both the interpreted and the compiled path.
+    def _field_terms(self, decoded) -> "_FieldTerms":
+        """The field-name -> constant term dict of one decoded
+        instruction, for both the interpreted and the compiled path;
+        callers must not mutate it.  When the active pool simplifies, it
+        carries the memo of folded closed subexpressions (see
+        :meth:`_eval`).
 
-        Keyed on content (instruction name plus field values): the
-        :class:`Decoded` object is slotted and the decoder's own cache
-        can be cleared underneath us, so object identity is not a safe
-        key, and a decoded record need not carry its raw word.  Callers
-        must not mutate the dict.  Holding Term objects here is safe
-        only because the cache dies with the engine, which lives inside
-        a single term-pool configuration.
-        """
-        key = (decoded.instruction.name, tuple(decoded.fields.items()))
-        fields = self._field_term_cache.get(key)
-        if fields is None:
-            fields = {name: T.bv(value, self._field_width(decoded, name))
-                      for name, value in decoded.fields.items()}
-            self._field_term_cache[key] = fields
-        return fields
+        Everything in it is fixed by the decoded instruction (its
+        fields and address), so it is kept per term pool and shared by
+        every engine on the same decoder, whose cache returns one
+        :class:`Decoded` per address and bytes."""
+        pool = T.get_pool()
+        by_decoded = _FIELD_TERMS.get(pool)
+        if by_decoded is None:
+            by_decoded = _FIELD_TERMS[pool] = weakref.WeakKeyDictionary()
+        terms = by_decoded.get(decoded)
+        if terms is None:
+            terms = _FieldTerms(
+                (name, T.bv(value, self._field_width(decoded, name)))
+                for name, value in decoded.fields.items())
+            terms.folded = {} if pool.simplify else None
+            by_decoded[decoded] = terms
+        return terms
 
     def _field_width(self, decoded, name: str) -> int:
         operand = decoded.instruction.operands.get(name)
@@ -774,28 +829,36 @@ class Engine:
 
     def _run_frames(self, state, frames, local_values, outcome, fields,
                     decoded) -> List[Tuple[SymState, _Outcome]]:
-        """Execute a continuation stack of (stmts, index) frames."""
+        """Execute a continuation stack of (stmts, index) frames.
+
+        The innermost block runs off the stack; an ``if`` pushes the
+        block's continuation back before it enters a body or forks, so
+        a fork copies the frames still to run."""
         while frames:
-            stmts, index = frames[-1]
-            if index >= len(stmts):
-                frames.pop()
-                continue
-            frames[-1] = (stmts, index + 1)
-            stmt = stmts[index]
-            if isinstance(stmt, N.IfStmt):
-                cond = self._eval(state, stmt.cond, fields, local_values, (),
-                                  decoded)
-                if cond.is_const():
-                    body = stmt.then_body if cond.value == 1 else stmt.else_body
+            stmts, index = frames.pop()
+            while index < len(stmts):
+                stmt = stmts[index]
+                index += 1
+                kind = type(stmt)
+                if kind is N.IfStmt:
+                    cond = self._eval(state, stmt.cond, fields, local_values,
+                                      (), decoded)
+                    frames.append((stmts, index))
+                    if not cond.is_const():
+                        return self._fork_if(state, stmt, cond, frames,
+                                             local_values, outcome, fields,
+                                             decoded)
+                    body = stmt.then_body if cond.value == 1 else \
+                        stmt.else_body
                     if body:
                         frames.append((body, 0))
-                    continue
-                return self._fork_if(state, stmt, cond, frames, local_values,
-                                     outcome, fields, decoded)
-            terminal = self._exec_simple(state, stmt, outcome, fields,
-                                         local_values, decoded)
-            if terminal:
-                return [(state, outcome)]
+                    break
+                handler = self._EXEC.get(kind)
+                if handler is None:
+                    raise EngineError("unknown IR statement %r" % (stmt,))
+                if handler(self, state, stmt, outcome, fields, local_values,
+                           decoded):
+                    return [(state, outcome)]
         return [(state, outcome)]
 
     def _branch_feasible(self, state: SymState, branch_cond: T.Term):
@@ -898,55 +961,73 @@ class Engine:
                 continue
         return results
 
-    def _exec_simple(self, state, stmt, outcome, fields, local_values,
+    # Non-branching statements, dispatched on their type by _run_frames;
+    # each returns True when it terminates the block.
+
+    def _exec_set_local(self, state, stmt, outcome, fields, local_values,
+                        decoded) -> bool:
+        if isinstance(stmt.value, N.InputByte):
+            local_values[stmt.name] = state.next_input()
+        else:
+            local_values[stmt.name] = self._eval(
+                state, stmt.value, fields, local_values, (), decoded)
+        return False
+
+    def _exec_set_reg(self, state, stmt, outcome, fields, local_values,
+                      decoded) -> bool:
+        if isinstance(stmt.value, N.InputByte):
+            value = state.next_input()
+        else:
+            value = self._eval(state, stmt.value, fields, local_values,
+                               (), decoded)
+        index = None
+        if stmt.index is not None:
+            index_term = self._eval(state, stmt.index, fields,
+                                    local_values, (), decoded)
+            index = self._concrete_index(state, index_term, decoded)
+        state.write_reg(stmt.regfile, index, value)
+        return False
+
+    def _exec_set_pc(self, state, stmt, outcome, fields, local_values,
                      decoded) -> bool:
-        """Execute a non-branching statement; True means block terminated."""
-        if isinstance(stmt, N.SetLocal):
-            if isinstance(stmt.value, N.InputByte):
-                local_values[stmt.name] = state.next_input()
-            else:
-                local_values[stmt.name] = self._eval(
-                    state, stmt.value, fields, local_values, (), decoded)
-            return False
-        if isinstance(stmt, N.SetReg):
-            if isinstance(stmt.value, N.InputByte):
-                value = state.next_input()
-            else:
-                value = self._eval(state, stmt.value, fields, local_values,
-                                   (), decoded)
-            index = None
-            if stmt.index is not None:
-                index_term = self._eval(state, stmt.index, fields,
-                                        local_values, (), decoded)
-                index = self._concrete_index(state, index_term, decoded)
-            state.write_reg(stmt.regfile, index, value)
-            return False
-        if isinstance(stmt, N.SetPc):
-            outcome.next_pc = self._eval(state, stmt.value, fields,
-                                         local_values, (), decoded)
-            return False
-        if isinstance(stmt, N.Store):
-            addr = self._eval(state, stmt.addr, fields, local_values, (),
-                              decoded)
-            value = self._eval(state, stmt.value, fields, local_values, (),
-                               decoded)
-            self._store(state, addr, value, stmt.size, decoded)
-            return False
-        if isinstance(stmt, N.Output):
-            state.output.append(self._eval(state, stmt.value, fields,
-                                           local_values, (), decoded))
-            return False
-        if isinstance(stmt, N.Halt):
-            outcome.halted = True
-            outcome.exit_code = self._eval(state, stmt.code, fields,
-                                           local_values, (), decoded)
-            return True
-        if isinstance(stmt, N.Trap):
-            outcome.trapped = True
-            outcome.trap_code = self._eval(state, stmt.code, fields,
-                                           local_values, (), decoded)
-            return True
-        raise EngineError("unknown IR statement %r" % (stmt,))
+        outcome.next_pc = self._eval(state, stmt.value, fields,
+                                     local_values, (), decoded)
+        return False
+
+    def _exec_store(self, state, stmt, outcome, fields, local_values,
+                    decoded) -> bool:
+        addr = self._eval(state, stmt.addr, fields, local_values, (),
+                          decoded)
+        value = self._eval(state, stmt.value, fields, local_values, (),
+                           decoded)
+        self._store(state, addr, value, stmt.size, decoded)
+        return False
+
+    def _exec_output(self, state, stmt, outcome, fields, local_values,
+                     decoded) -> bool:
+        state.output.append(self._eval(state, stmt.value, fields,
+                                       local_values, (), decoded))
+        return False
+
+    def _exec_halt(self, state, stmt, outcome, fields, local_values,
+                   decoded) -> bool:
+        outcome.halted = True
+        outcome.exit_code = self._eval(state, stmt.code, fields,
+                                       local_values, (), decoded)
+        return True
+
+    def _exec_trap(self, state, stmt, outcome, fields, local_values,
+                   decoded) -> bool:
+        outcome.trapped = True
+        outcome.trap_code = self._eval(state, stmt.code, fields,
+                                       local_values, (), decoded)
+        return True
+
+    _EXEC = {
+        N.SetLocal: _exec_set_local, N.SetReg: _exec_set_reg,
+        N.SetPc: _exec_set_pc, N.Store: _exec_store,
+        N.Output: _exec_output, N.Halt: _exec_halt, N.Trap: _exec_trap,
+    }
 
     # -- expression evaluation ------------------------------------------------------
 
@@ -960,79 +1041,140 @@ class Engine:
         "sgt": T.sgt, "sge": T.sge,
     }
 
+    _UNOP_BUILDERS = {"not": T.not_, "neg": T.neg, "boolnot": T.not_}
+
     _DIV_OPS = frozenset({"udiv", "urem", "sdiv", "srem"})
 
     def _eval(self, state: SymState, expr: N.Expr, fields, local_values,
               guards: Tuple[T.Term, ...], decoded) -> T.Term:
-        if isinstance(expr, N.Const):
-            return T.bv(expr.value, expr.width)
-        if isinstance(expr, N.Field):
-            return fields[expr.name]
-        if isinstance(expr, N.Local):
-            return local_values[expr.name]
-        if isinstance(expr, N.Pc):
-            return T.bv(state.pc, expr.width)
-        if isinstance(expr, N.ReadReg):
-            index = None
-            if expr.index is not None:
-                index_term = self._eval(state, expr.index, fields,
-                                        local_values, guards, decoded)
-                index = self._concrete_index(state, index_term, decoded)
-            return state.read_reg(expr.regfile, index)
-        if isinstance(expr, N.Load):
-            addr = self._eval(state, expr.addr, fields, local_values,
-                              guards, decoded)
-            return self._load(state, addr, expr.size, guards, decoded)
-        if isinstance(expr, N.BinOp):
-            left = self._eval(state, expr.left, fields, local_values,
-                              guards, decoded)
-            right = self._eval(state, expr.right, fields, local_values,
-                               guards, decoded)
-            if expr.op in self._DIV_OPS and self.config.check_div_zero:
-                self._check_div(state, right, guards, decoded)
-            return self._BINOP_BUILDERS[expr.op](left, right)
-        if isinstance(expr, N.UnOp):
-            operand = self._eval(state, expr.operand, fields, local_values,
-                                 guards, decoded)
-            if expr.op == "not":
-                return T.not_(operand)
-            if expr.op == "neg":
-                return T.neg(operand)
-            if expr.op == "boolnot":
-                return T.not_(operand)
+        """Evaluate one IR expression to a term.
+
+        When the pool simplifies, a *closed* subexpression (see
+        :func:`_closed`: built from constants, fields and the pc only) is
+        evaluated once per decoded instruction on Python ints by the
+        reference interpreter and interned as one constant; the memo
+        (``fields.folded``) then answers it.  The simplifying term
+        constructors would fold it to that same constant, and constants
+        are ordered after every other operand, so only constant terms
+        stop being created.  Other nodes dispatch on their type.
+        """
+        folded = fields.folded
+        if folded is not None:
+            term = folded.get(expr)
+            if term is None:
+                if _closed(expr):
+                    term = T.bv(interp.eval_expr(
+                        expr, _PcContext(decoded.address), decoded.fields,
+                        {}), expr.width)
+                    folded[expr] = term
+                    return term
+                folded[expr] = _OPEN
+            elif term is not _OPEN:
+                return term
+        handler = self._EVAL.get(type(expr))
+        if handler is None:
+            raise EngineError("unknown IR expression %r" % (expr,))
+        return handler(self, state, expr, fields, local_values, guards,
+                       decoded)
+
+    def _eval_const(self, state, expr, fields, local_values, guards,
+                    decoded) -> T.Term:
+        return T.bv(expr.value, expr.width)
+
+    def _eval_field(self, state, expr, fields, local_values, guards,
+                    decoded) -> T.Term:
+        return fields[expr.name]
+
+    def _eval_local(self, state, expr, fields, local_values, guards,
+                    decoded) -> T.Term:
+        return local_values[expr.name]
+
+    def _eval_pc(self, state, expr, fields, local_values, guards,
+                 decoded) -> T.Term:
+        return T.bv(state.pc, expr.width)
+
+    def _eval_read_reg(self, state, expr, fields, local_values, guards,
+                       decoded) -> T.Term:
+        index = None
+        if expr.index is not None:
+            index_term = self._eval(state, expr.index, fields,
+                                    local_values, guards, decoded)
+            index = self._concrete_index(state, index_term, decoded)
+        return state.read_reg(expr.regfile, index)
+
+    def _eval_load(self, state, expr, fields, local_values, guards,
+                   decoded) -> T.Term:
+        addr = self._eval(state, expr.addr, fields, local_values,
+                          guards, decoded)
+        return self._load(state, addr, expr.size, guards, decoded)
+
+    def _eval_binop(self, state, expr, fields, local_values, guards,
+                    decoded) -> T.Term:
+        left = self._eval(state, expr.left, fields, local_values,
+                          guards, decoded)
+        right = self._eval(state, expr.right, fields, local_values,
+                           guards, decoded)
+        if expr.op in self._DIV_OPS and self.config.check_div_zero:
+            self._check_div(state, right, guards, decoded)
+        return self._BINOP_BUILDERS[expr.op](left, right)
+
+    def _eval_unop(self, state, expr, fields, local_values, guards,
+                   decoded) -> T.Term:
+        operand = self._eval(state, expr.operand, fields, local_values,
+                             guards, decoded)
+        builder = self._UNOP_BUILDERS.get(expr.op)
+        if builder is None:
             raise EngineError("unknown unary op %r" % expr.op)
-        if isinstance(expr, N.Ext):
-            operand = self._eval(state, expr.operand, fields, local_values,
-                                 guards, decoded)
-            extra = expr.width - operand.width
-            return T.zext(operand, extra) if expr.kind == "zext" else \
-                T.sext(operand, extra)
-        if isinstance(expr, N.ExtractBits):
-            operand = self._eval(state, expr.operand, fields, local_values,
-                                 guards, decoded)
-            return T.extract(operand, expr.hi, expr.lo)
-        if isinstance(expr, N.ConcatBits):
-            hi_part = self._eval(state, expr.hi_part, fields, local_values,
-                                 guards, decoded)
-            lo_part = self._eval(state, expr.lo_part, fields, local_values,
-                                 guards, decoded)
-            return T.concat(hi_part, lo_part)
-        if isinstance(expr, N.IteExpr):
-            cond = self._eval(state, expr.cond, fields, local_values,
+        return builder(operand)
+
+    def _eval_ext(self, state, expr, fields, local_values, guards,
+                  decoded) -> T.Term:
+        operand = self._eval(state, expr.operand, fields, local_values,
+                             guards, decoded)
+        extra = expr.width - operand.width
+        return T.zext(operand, extra) if expr.kind == "zext" else \
+            T.sext(operand, extra)
+
+    def _eval_extract(self, state, expr, fields, local_values, guards,
+                      decoded) -> T.Term:
+        operand = self._eval(state, expr.operand, fields, local_values,
+                             guards, decoded)
+        return T.extract(operand, expr.hi, expr.lo)
+
+    def _eval_concat(self, state, expr, fields, local_values, guards,
+                     decoded) -> T.Term:
+        hi_part = self._eval(state, expr.hi_part, fields, local_values,
+                             guards, decoded)
+        lo_part = self._eval(state, expr.lo_part, fields, local_values,
+                             guards, decoded)
+        return T.concat(hi_part, lo_part)
+
+    def _eval_ite(self, state, expr, fields, local_values, guards,
+                  decoded) -> T.Term:
+        cond = self._eval(state, expr.cond, fields, local_values,
+                          guards, decoded)
+        if cond.is_const():
+            chosen = expr.then if cond.value == 1 else expr.other
+            return self._eval(state, chosen, fields, local_values,
                               guards, decoded)
-            if cond.is_const():
-                chosen = expr.then if cond.value == 1 else expr.other
-                return self._eval(state, chosen, fields, local_values,
-                                  guards, decoded)
-            then = self._eval(state, expr.then, fields, local_values,
-                              guards + (cond,), decoded)
-            other = self._eval(state, expr.other, fields, local_values,
-                               guards + (T.not_(cond),), decoded)
-            return T.ite(cond, then, other)
-        if isinstance(expr, N.InputByte):
-            raise EngineError(
-                "in() must be a whole right-hand side (translator bug)")
-        raise EngineError("unknown IR expression %r" % (expr,))
+        then = self._eval(state, expr.then, fields, local_values,
+                          guards + (cond,), decoded)
+        other = self._eval(state, expr.other, fields, local_values,
+                           guards + (T.not_(cond),), decoded)
+        return T.ite(cond, then, other)
+
+    def _eval_input(self, state, expr, fields, local_values, guards,
+                    decoded) -> T.Term:
+        raise EngineError(
+            "in() must be a whole right-hand side (translator bug)")
+
+    _EVAL = {
+        N.Const: _eval_const, N.Field: _eval_field, N.Local: _eval_local,
+        N.Pc: _eval_pc, N.ReadReg: _eval_read_reg, N.Load: _eval_load,
+        N.BinOp: _eval_binop, N.UnOp: _eval_unop, N.Ext: _eval_ext,
+        N.ExtractBits: _eval_extract, N.ConcatBits: _eval_concat,
+        N.IteExpr: _eval_ite, N.InputByte: _eval_input,
+    }
 
     # -- checkers --------------------------------------------------------------------
 
@@ -1058,8 +1200,6 @@ class Engine:
         """OOB / write-protect checks; False ends the path."""
         if not self.config.check_oob:
             return True
-        inside = self.memory_map.membership_term(addr)
-        outside = T.not_(inside)
         if addr.is_const():
             region = self.memory_map.region_for(addr.value)
             if region is None:
@@ -1073,6 +1213,8 @@ class Engine:
                              % (region.name, addr.value))
                 return False
             return True
+        inside = self.memory_map.membership_term(addr)
+        outside = T.not_(inside)
         site = (R.OOB_ACCESS, state.pc)
         skip_report = self.config.dedup_defects and site in self._defect_sites
         if not skip_report and self.solver.check(

@@ -86,6 +86,9 @@ class SymMemory:
         self.map = memory_map
         self.cow = cow
         self._image: Dict[int, int] = {}
+        # (addr, size) -> the image bytes there; shared by every fork,
+        # like the image (see concrete_window).
+        self._windows: Dict[Tuple[int, int], bytes] = {}
         self._pages: Dict[int, Dict[int, T.Term]] = {}
         self._owned: set = set()
 
@@ -96,6 +99,7 @@ class SymMemory:
         """Install concrete backing bytes and map the region."""
         for offset, byte in enumerate(data):
             self._image[base + offset] = byte
+        self._windows.clear()
         return self.map.add(Region(base, len(data), name, writable))
 
     def image_byte(self, addr: int) -> Optional[int]:
@@ -108,6 +112,7 @@ class SymMemory:
         child.map = self.map
         child.cow = self.cow
         child._image = self._image          # immutable after load
+        child._windows = self._windows
         if self.cow:
             child._pages = dict(self._pages)
             child._owned = set()
@@ -155,7 +160,17 @@ class SymMemory:
     # -- word access (executor-facing) ------------------------------------------------------
 
     def read(self, addr: int, size: int, endian: str) -> T.Term:
-        """Read ``size`` bytes as one term in the given endianness."""
+        """Read ``size`` bytes as one term in the given endianness.
+
+        A word of concrete bytes is built as one constant, the term the
+        simplifying constructors would fold the byte concat to (without
+        simplification the concat is built as before)."""
+        if T.get_pool().simplify:
+            window = self.concrete_window(addr, size)
+            if window is not None:
+                return T.bv(int.from_bytes(
+                    window, "little" if endian == "little" else "big"),
+                    8 * size)
         byte_terms = [self.read_byte(addr + i) for i in range(size)]
         if endian == "little":
             byte_terms.reverse()            # concat wants MSB first
@@ -173,13 +188,31 @@ class SymMemory:
                 self.write_byte(addr + size - 1 - i, byte)
 
     def concrete_window(self, addr: int, size: int) -> Optional[bytes]:
-        """The bytes at ``addr`` if they are all concrete (fetch path)."""
+        """The bytes at ``addr`` if they are all concrete (fetch path).
+
+        Unwritten bytes come straight from the image: no byte term is
+        built for them.  A window (at most a page long) on pages with no
+        written byte is read from the image once and then answered from
+        a memo."""
+        pages, image = self._pages, self._image
+        if (addr // PAGE_SIZE not in pages
+                and (addr + size - 1) // PAGE_SIZE not in pages):
+            window = self._windows.get((addr, size))
+            if window is None:
+                window = self._windows[addr, size] = bytes(
+                    image.get(a, 0) for a in range(addr, addr + size))
+            return window
         out = bytearray()
         for i in range(size):
-            term = self.read_byte(addr + i)
-            if not term.is_const():
+            page_index, offset = divmod(addr + i, PAGE_SIZE)
+            page = pages.get(page_index)
+            term = page.get(offset) if page is not None else None
+            if term is None:
+                out.append(image.get(addr + i, 0))
+            elif term.is_const():
+                out.append(term.value)
+            else:
                 return None
-            out.append(term.value)
         return bytes(out)
 
     @property

@@ -26,7 +26,8 @@ class DecodeError(Exception):
 class Decoded:
     """One decoded instruction instance."""
 
-    __slots__ = ("instruction", "address", "word", "fields", "length")
+    __slots__ = ("instruction", "address", "word", "fields", "length",
+                 "__weakref__")
 
     def __init__(self, instruction, address: int, word: int,
                  fields: Dict[str, int]):

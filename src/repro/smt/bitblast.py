@@ -13,7 +13,7 @@ queries.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import terms as T
 from .sat import SatSolver
@@ -341,13 +341,26 @@ class BitBlaster:
             lines.append(" ".join(str(lit) for lit in clause) + " 0")
         return "\n".join(lines) + "\n"
 
-    def extract_model(self, sat_model: Dict[int, int]) -> Dict[str, int]:
-        """Read variable values out of a SAT model (missing bits are 0)."""
+    def extract_model(self, sat_model: Optional[Dict[int, int]] = None
+                      ) -> Dict[str, int]:
+        """Read variable values out of a SAT model (missing bits are 0).
+
+        ``None`` reads the bits straight from this blaster's own solver's
+        assignment after a SAT answer, without building a model over
+        every CDCL variable (:meth:`SatSolver.model`)."""
+        assign = self.sat.assignment if sat_model is None else None
         model: Dict[str, int] = {}
         for name, (term, bits) in self._var_bits.items():
             value = 0
             for i, lit in enumerate(bits):
-                if sat_model.get(abs(lit), 0) == (1 if lit > 0 else 0):
+                var = abs(lit)
+                if assign is not None:
+                    bit = assign[var]
+                    if bit < 0:           # unassigned reads as 0
+                        bit = 0
+                else:
+                    bit = sat_model.get(var, 0)
+                if bit == (1 if lit > 0 else 0):
                     value |= 1 << i
             model[name] = value & T.mask(term.width)
         return model

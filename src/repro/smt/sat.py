@@ -427,6 +427,13 @@ class SatSolver:
             self._trail_lim.append(len(self._trail))
             self._enqueue(decision, None)
 
+    @property
+    def assignment(self) -> List[int]:
+        """The live var-indexed assignment (0/1, -1 unassigned; index 0
+        unused).  Read-only: valid after a SAT answer until the next
+        call that changes the solver."""
+        return self._assign
+
     def model(self) -> Dict[int, int]:
         """Assignment after a SAT answer: var -> 0/1 (unassigned vars -> 0)."""
         return {var: (self._assign[var] if self._assign[var] != _UNASSIGNED else 0)

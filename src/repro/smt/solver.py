@@ -323,7 +323,7 @@ class Solver:
         assumptions = [self._blaster.literal_for(term) for term in conds]
         if self._blaster.sat.solve(assumptions) == UNSAT:
             return UNSAT
-        model = self._blaster.extract_model(self._blaster.sat.model())
+        model = self._blaster.extract_model(None)   # from the assignment
         # Internal consistency check: the model must actually satisfy the
         # query (catches bit-blaster bugs immediately).  It evaluates
         # through the memo of the witness the model becomes (pooled by

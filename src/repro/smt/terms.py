@@ -153,7 +153,7 @@ class Term:
         self.params = params
         self._id = next(Term._counter)
         self._hash = hash((op, width, value, name, params,
-                           tuple(a._id for a in args)))
+                           tuple([a._id for a in args])))
         # Lazily computed structural digest (see ``digest``): stable
         # across pools, processes and runs — the solver's query-cache key.
         self._digest = None
@@ -224,7 +224,7 @@ class TermPool:
         if not self.hash_consing:
             self.misses += 1
             return Term(op, width, tuple(args), value, name, params)
-        key = (op, width, value, name, params, tuple(a._id for a in args))
+        key = (op, width, value, name, params, tuple([a._id for a in args]))
         found = self._interned.get(key)
         if found is not None:
             self.hits += 1
@@ -896,8 +896,13 @@ def all_true(terms: Iterable[Term], assignment: Dict[str, int],
     """
     if cache is None:
         cache = {}
+    probe = cache.get
     for term in terms:
-        if _eval_cached(term, assignment, cache) != 1:
+        # Most conjuncts are memo hits: probe inline, walk only on a miss.
+        value = probe(term._id)
+        if value is None:
+            value = _eval_cached(term, assignment, cache)
+        if value != 1:
             return False
     return True
 
