@@ -13,12 +13,11 @@ translate + decoder construction) per ISA.
 import pytest
 
 from repro.adl import load_builtin_spec
-from repro.bench import Sample, benchmark
 from repro.ir import count_nodes
 from repro.isa import build
 from repro.isa.model import ArchModel
 
-from _util import ALL_TARGETS, adl_spec_loc, print_table, python_loc, timed
+from _util import ALL_TARGETS, adl_spec_loc, print_table, python_loc
 
 
 def table_rows():
@@ -39,21 +38,6 @@ def engine_rows():
         ["solver substrate (smt)", python_loc("smt")],
         ["IR + generation (ir, isa, adl)", python_loc("ir", "isa", "adl")],
     ]
-
-
-@benchmark("table1.model_generation_wall",
-           title="ADL model generation: all built-in ISAs",
-           suite="quick", isas=tuple(ALL_TARGETS), unit="s",
-           direction="lower", reps=3, warmup=1,
-           workload="parse + analyze + translate + decoder construction "
-                    "for every built-in spec")
-def _observatory_sample():
-    def build_all():
-        for target in ALL_TARGETS:
-            model = ArchModel(load_builtin_spec(target))
-            assert model.instructions
-    _, wall = timed(build_all)
-    return Sample(wall, wall_s=wall)
 
 
 def print_report():

@@ -8,7 +8,6 @@ expectation: throughput within the same order of magnitude across ISAs
 
 import pytest
 
-from repro.bench import Sample, benchmark
 from repro.core import Engine, EngineConfig
 from repro.obs import Obs
 from repro.programs import build_kernel
@@ -30,19 +29,6 @@ def run_workload(target, kernel, params, profile=False):
     engine.load_image(image)
     result, wall = timed(engine.explore)
     return result, wall
-
-
-@benchmark("table3.rv32_maze_throughput",
-           title="engine throughput: rv32 maze instructions/sec",
-           suite="quick", isas=("rv32",), unit="instr/s",
-           direction="higher", reps=3, warmup=1,
-           workload="maze(depth 7) full exploration on the generated "
-                    "rv32 engine")
-def _observatory_sample():
-    result, wall = run_workload("rv32", "maze",
-                                {"depth": 7, "solution": 0b1011001})
-    return Sample.from_result(result.instructions_executed / wall,
-                              result, wall)
 
 
 def table_rows(profile=False, telemetry_runs=None):

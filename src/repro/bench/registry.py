@@ -15,20 +15,19 @@ instead of hand-rolling its own timing / printing / guard boilerplate::
 
 The decorated function produces **one sample per repetition** — a bare
 number, a :class:`Sample`, or a dict.  The runner
-(:mod:`repro.bench.runner`) handles warmup, repetitions, medians and
-noise bands; the registry only holds the *declaration*:
+(:mod:`repro.bench.runner`) handles warmup, repetitions and medians;
+the registry only holds the *declaration*:
 
-* ``suite`` — ``"quick"`` benchmarks run in the CI observatory job on
-  every push; ``"full"`` ones only when the full suite is requested
-  (the full suite is a superset of quick).
-* ``direction`` — ``"higher"`` or ``"lower"`` is better, reusing the
-  vocabulary of :mod:`repro.obs.compare` so ``repro bench compare``
-  and ``repro diffstats`` flag regressions the same way.
+* ``suite`` — ``"quick"`` benchmarks are the default ``repro bench
+  run`` selection; ``"full"`` ones run only when the full suite is
+  requested (the full suite is a superset of quick).
+* ``direction`` — ``"higher"`` or ``"lower"`` is better, the
+  vocabulary of :mod:`repro.obs.compare`.
 * ``expect_min`` / ``expect_max`` — declarative absolute expectations
   on the *median* (the old hand-rolled CI guards, e.g. the >= 1.20x
-  solver-cache speedup, live here now).  Environment-independent, so
-  they gate on any machine; the statistical comparator handles the
-  machine-relative part.
+  solver-cache speedup, live here now).  They are ratios measured
+  within one run, so they gate on any machine; ``repro bench run
+  --check`` exits 3 when one fails.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Benchmark runner + machine-readable result schema + A/B comparison.
+"""Benchmark runner + machine-readable result schema.
 
 One ``repro bench run`` produces a **report**::
 
@@ -7,7 +7,6 @@ One ``repro bench run`` produces a **report**::
       "generated_unix": ...,
       "suite": "quick",
       "env": { ...environment_snapshot()... },
-      "env_digest": "sha256:...",
       "wall_s": 12.3,
       "results": [
         {
@@ -24,50 +23,27 @@ One ``repro bench run`` produces a **report**::
       ]
     }
 
-The report is written as ``BENCH_<n>.json`` at the repo root (the
-machine-readable perf snapshot this PR sequence tracks) and appended,
-entry per benchmark, to the perf-history ledger
-(:mod:`repro.bench.history`).
-
-:func:`compare_reports` is the statistical regression gate: for every
-benchmark present in both reports it runs :func:`repro.bench.stats.classify`
-over the raw sample sets (median + MAD noise bands, direction-aware —
-no raw single-sample thresholds anywhere) and re-evaluates the
-candidate's declarative expectations.  ``repro bench compare`` exits 3
-when anything regresses, mirroring ``repro diffstats``.
+The report is printed, or written to the file ``repro bench run
+--out`` names.  Its only verdicts are the declarative expectations
+(:func:`evaluate_expectations`) on each benchmark's median; judging
+regressions between revisions is perfbench's job (``perfbench/``,
+``BENCHMARK.json``), not this package's.
 """
 
 from __future__ import annotations
 
 import json
-import os
+import statistics
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..runstore.provenance import environment_snapshot
-from . import stats
-from .history import env_digest
-from .registry import Benchmark, BenchError, Sample, benchmarks_dir
+from .registry import Benchmark, Sample
 
-__all__ = ["REPORT_SCHEMA", "REPORT_BASENAME", "run_benchmarks",
-           "default_report_path", "write_report", "load_report",
-           "evaluate_expectations", "compare_reports", "ReportComparison",
-           "BenchDiffRow", "render_report", "render_comparison"]
+__all__ = ["REPORT_SCHEMA", "run_benchmarks", "write_report",
+           "evaluate_expectations", "render_report"]
 
 REPORT_SCHEMA = "repro-bench/1"
-
-#: The checked-in perf snapshot of this PR (ISSUE 9's observatory).
-REPORT_BASENAME = "BENCH_9.json"
-
-
-def default_report_path(bench_dir: Optional[str] = None) -> str:
-    """``BENCH_9.json`` next to the benchmarks directory (the repo
-    root); falls back to the current directory."""
-    try:
-        directory = benchmarks_dir(bench_dir)
-        return os.path.join(os.path.dirname(directory), REPORT_BASENAME)
-    except BenchError:
-        return os.path.join(os.getcwd(), REPORT_BASENAME)
 
 
 def evaluate_expectations(bench: Benchmark, observed: float
@@ -114,26 +90,25 @@ def run_benchmarks(benches: Sequence[Benchmark], suite: str = "full",
         for _ in range(max(1, bench_reps)):
             samples.append(Sample.of(bench.fn()))
         values = [sample.value for sample in samples]
-        med = stats.median(values)
+        med = statistics.median(values)
         row = bench.metadata()
         row.update({
             "reps": len(samples),
             "warmup": bench_warm,
             "samples": [sample.to_dict() for sample in samples],
             "median": round(med, 9),
-            "mad": round(stats.mad(values), 9),
+            "mad": round(statistics.median(
+                [abs(value - med) for value in values]), 9),
             "wall_s": round(time.perf_counter() - bench_start, 4),
             "expectations": evaluate_expectations(bench, med),
         })
         results.append(row)
         say("  %s = %.6g %s" % (bench.id, med, bench.unit))
-    env = environment_snapshot()
     return {
         "schema": REPORT_SCHEMA,
         "generated_unix": round(time.time(), 3),
         "suite": suite,
-        "env": env,
-        "env_digest": env_digest(env),
+        "env": environment_snapshot(),
         "wall_s": round(time.perf_counter() - started, 4),
         "results": results,
     }
@@ -144,135 +119,6 @@ def write_report(report: Dict[str, object], path: str) -> str:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
-
-
-def load_report(path: str) -> Dict[str, object]:
-    """Load + validate a report file; raises :class:`BenchError` with a
-    one-line story on anything unusable."""
-    try:
-        with open(path) as handle:
-            report = json.load(handle)
-    except OSError as exc:
-        raise BenchError("cannot read %s: %s"
-                         % (path, exc.strerror or exc))
-    except ValueError as exc:
-        raise BenchError("%s is not valid JSON: %s" % (path, exc))
-    if not isinstance(report, dict):
-        raise BenchError("%s is not a bench report (not an object)"
-                         % path)
-    if report.get("schema") != REPORT_SCHEMA:
-        raise BenchError("%s has schema %r; this build reads %r"
-                         % (path, report.get("schema"), REPORT_SCHEMA))
-    if not isinstance(report.get("results"), list):
-        raise BenchError("%s carries no results list" % path)
-    return report
-
-
-# -- comparison ---------------------------------------------------------------
-
-class BenchDiffRow:
-    """One benchmark across baseline (A) and candidate (B)."""
-
-    __slots__ = ("bench_id", "unit", "verdict", "expectations", "flag")
-
-    def __init__(self, bench_id: str, unit: str,
-                 verdict: Optional[stats.Verdict],
-                 expectations: List[Dict[str, object]]):
-        self.bench_id = bench_id
-        self.unit = unit
-        self.verdict = verdict           # None: only in one report
-        self.expectations = expectations
-        failed = any(not e.get("passed") for e in expectations)
-        if failed:
-            self.flag = stats.REGRESSION
-        elif verdict is None:
-            self.flag = "unmatched"
-        else:
-            self.flag = verdict.flag
-
-    def to_dict(self) -> Dict[str, object]:
-        row: Dict[str, object] = {"id": self.bench_id, "unit": self.unit,
-                                  "flag": self.flag,
-                                  "expectations": self.expectations}
-        if self.verdict is not None:
-            row.update(self.verdict.to_dict())
-        return row
-
-
-class ReportComparison:
-    """The statistical diff of two bench reports."""
-
-    def __init__(self, path_a: str, path_b: str,
-                 rows: List[BenchDiffRow], k: float, min_rel: float,
-                 env_match: bool):
-        self.path_a = path_a
-        self.path_b = path_b
-        self.rows = rows
-        self.k = k
-        self.min_rel = min_rel
-        self.env_match = env_match
-
-    @property
-    def regressions(self) -> List[BenchDiffRow]:
-        return [row for row in self.rows
-                if row.flag == stats.REGRESSION]
-
-    @property
-    def improvements(self) -> List[BenchDiffRow]:
-        return [row for row in self.rows
-                if row.flag == stats.IMPROVEMENT]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema": REPORT_SCHEMA,
-            "baseline": self.path_a,
-            "candidate": self.path_b,
-            "k": self.k,
-            "min_rel": self.min_rel,
-            "env_match": self.env_match,
-            "rows": [row.to_dict() for row in self.rows],
-            "regressions": len(self.regressions),
-            "improvements": len(self.improvements),
-        }
-
-
-def compare_reports(report_a: Dict[str, object],
-                    report_b: Dict[str, object],
-                    path_a: str = "A", path_b: str = "B",
-                    k: float = stats.DEFAULT_K,
-                    min_rel: float = stats.DEFAULT_MIN_REL
-                    ) -> ReportComparison:
-    """Statistical A (baseline) vs B (candidate) gate.
-
-    Per benchmark in both reports: classify B's samples against A's
-    noise band.  B-only benchmarks get their expectations evaluated
-    (they still gate) but no band; A-only benchmarks are reported as
-    unmatched.  Differing env digests don't block the comparison —
-    they're surfaced so a cross-machine diff reads as advisory.
-    """
-    results_a = {r.get("id"): r for r in report_a.get("results") or []}
-    results_b = {r.get("id"): r for r in report_b.get("results") or []}
-    rows: List[BenchDiffRow] = []
-    for bench_id in sorted(set(results_a) | set(results_b)):
-        in_a, in_b = results_a.get(bench_id), results_b.get(bench_id)
-        current = in_b if in_b is not None else in_a
-        expectations = list((in_b or {}).get("expectations") or [])
-        verdict = None
-        if in_a is not None and in_b is not None:
-            samples_a = [s.get("value") for s in in_a.get("samples") or []
-                         if isinstance(s.get("value"), (int, float))]
-            samples_b = [s.get("value") for s in in_b.get("samples") or []
-                         if isinstance(s.get("value"), (int, float))]
-            if samples_a and samples_b:
-                verdict = stats.classify(
-                    samples_a, samples_b,
-                    direction=current.get("direction", "lower"),
-                    k=k, min_rel=min_rel)
-        rows.append(BenchDiffRow(str(bench_id),
-                                 str(current.get("unit", "")),
-                                 verdict, expectations))
-    env_match = (report_a.get("env_digest") == report_b.get("env_digest"))
-    return ReportComparison(path_a, path_b, rows, k, min_rel, env_match)
 
 
 # -- rendering ----------------------------------------------------------------
@@ -309,38 +155,4 @@ def render_report(report: Dict[str, object]) -> str:
                  if not exp.get("passed"))
     lines.append("")
     lines.append("  expectations failed: %d" % failed)
-    return "\n".join(lines)
-
-
-def render_comparison(comparison: ReportComparison) -> str:
-    """Human-readable compare table (``repro bench compare``)."""
-    lines = ["bench comparison (noise band: max(%g*MAD, %.0f%%))"
-             % (comparison.k, 100 * comparison.min_rel),
-             "  A (baseline):  %s" % comparison.path_a,
-             "  B (candidate): %s" % comparison.path_b]
-    if not comparison.env_match:
-        lines.append("  note: env digests differ — cross-machine diff, "
-                     "bands are advisory")
-    lines += ["",
-              "  %-34s %12s %12s %9s  %-22s %s"
-              % ("benchmark", "A median", "B median", "delta",
-                 "band", "flag"),
-              "  " + "-" * 100]
-    for row in comparison.rows:
-        verdict = row.verdict
-        if verdict is None:
-            lines.append("  %-34s %12s %12s %9s  %-22s %s"
-                         % (row.bench_id, "-", "-", "-", "-", row.flag))
-            continue
-        delta = ("%+.1f%%" % (100 * verdict.delta_ratio)
-                 if verdict.delta_ratio is not None else "-")
-        band = "[%.6g, %.6g]" % (verdict.band.lo, verdict.band.hi)
-        flag = "" if row.flag == stats.OK else row.flag.upper()
-        lines.append("  %-34s %12s %12s %9s  %-22s %s"
-                     % (row.bench_id, _fmt(verdict.baseline),
-                        _fmt(verdict.candidate), delta, band, flag))
-    lines.append("")
-    lines.append("  regressions: %d   improvements: %d   compared: %d"
-                 % (len(comparison.regressions),
-                    len(comparison.improvements), len(comparison.rows)))
     return "\n".join(lines)

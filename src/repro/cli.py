@@ -31,13 +31,11 @@ Subcommands::
                                 flags regressions above ``--threshold``
                                 (exit 3 when any are found; ``--json``
                                 for the machine-readable payload)
-    bench list|run|compare|history
-                                the performance observatory: registered
-                                benchmark suites with declarative
-                                gates, BENCH_<n>.json reports, the
-                                run-store perf-history ledger and the
-                                median+MAD statistical regression gate
-                                (exit 3 on regression; see
+    bench list|run              the declarative benchmark gates:
+                                registered benchmarks with absolute
+                                ratio bounds, a report on stdout or
+                                in ``--out FILE`` (``run --check``
+                                exits 3 when a bound fails; see
                                 docs/OBSERVABILITY.md)
     lint <spec|--all>           static verification of ADL specs:
                                 structural + SMT proof passes with
@@ -991,11 +989,11 @@ def cmd_diffstats(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """The performance observatory: ``repro bench list|run|compare|
-    history`` (see docs/OBSERVABILITY.md).
+    """The declarative benchmark gates: ``repro bench list|run`` (see
+    docs/OBSERVABILITY.md).
 
     Exit codes mirror ``diffstats``: 0 clean, 1 unusable input, 3 a
-    confirmed regression or a failed declarative expectation.
+    failed declarative expectation under ``--check``.
     """
     import json
 
@@ -1005,66 +1003,6 @@ def cmd_bench(args) -> int:
         sys.stderr.write("error: %s\n" % message)
         return 1
 
-    if args.bench_command == "compare":
-        # Pure report-vs-report statistics; no discovery needed.
-        try:
-            report_a = bench.load_report(args.a)
-            report_b = bench.load_report(args.b)
-        except bench.BenchError as exc:
-            return fail(exc)
-        comparison = bench.compare_reports(
-            report_a, report_b, path_a=args.a, path_b=args.b,
-            k=args.k, min_rel=args.min_rel)
-        if args.json:
-            print(json.dumps(comparison.to_dict(), indent=2,
-                             sort_keys=True))
-        else:
-            print(bench.render_comparison(comparison))
-        return 3 if comparison.regressions else 0
-
-    if args.bench_command == "history":
-        ledger = bench.PerfLedger(args.store)
-        entries, warnings = ledger.entries(args.bench_id)
-        for warning in warnings:
-            sys.stderr.write("warning: %s\n" % warning)
-        if not entries:
-            return fail("no history for %r in %s"
-                        % (args.bench_id, ledger.path))
-        if args.limit:
-            entries = entries[-args.limit:]
-        values = [e.get("median") for e in entries
-                  if isinstance(e.get("median"), (int, float))]
-        shift = bench.changepoint(values)
-        if args.json:
-            payload = {"bench": args.bench_id, "ledger": ledger.path,
-                       "entries": entries,
-                       "changepoint": (shift.to_dict() if shift
-                                       else None)}
-            print(json.dumps(payload, indent=2, sort_keys=True))
-            return 0
-        import time as _time
-        unit = entries[-1].get("unit", "")
-        print("%s (%d entr%s, %s)" % (args.bench_id, len(entries),
-                                      "y" if len(entries) == 1 else "ies",
-                                      ledger.path))
-        print("  %s" % bench.sparkline(values))
-        print("  %-12s %-10s %-30s %12s %10s" %
-              ("date", "git", "env", "median", "mad"))
-        for entry in entries:
-            unix = entry.get("unix") or 0
-            day = _time.strftime("%Y-%m-%d", _time.localtime(unix))
-            sha = str(entry.get("git_sha") or "-")[:10]
-            print("  %-12s %-10s %-30s %12.6g %10.4g %s"
-                  % (day, sha, str(entry.get("env_digest") or "-")[:30],
-                     entry.get("median") or 0.0, entry.get("mad") or 0.0,
-                     unit))
-        if shift is not None:
-            print("  changepoint: entry %d, %.6g -> %.6g (%+.1f%%)"
-                  % (shift.index, shift.before, shift.after,
-                     100 * shift.shift_ratio))
-        return 0
-
-    # ``list`` and ``run`` need the registry populated.
     try:
         directory, _modules = bench.discover(args.dir)
     except bench.BenchError as exc:
@@ -1106,21 +1044,14 @@ def cmd_bench(args) -> int:
                 else lambda line: sys.stderr.write(line + "\n"))
     report = bench.run_benchmarks(benches, suite=suite, reps=args.reps,
                                   warmup=args.warmup, progress=progress)
-    out = args.out or bench.default_report_path(args.dir)
-    bench.write_report(report, out)
-    appended = []
-    if not args.no_ledger:
-        ledger = bench.PerfLedger(args.store)
-        appended = ledger.append_report(report)
+    if args.out:
+        bench.write_report(report, args.out)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(bench.render_report(report))
-        print("  report: %s" % out)
-        if not args.no_ledger:
-            print("  ledger: %s (%d entr%s appended)"
-                  % (ledger.path, len(appended),
-                     "y" if len(appended) == 1 else "ies"))
+        if args.out:
+            print("  report: %s" % args.out)
     failed = [exp for result in report["results"]
               for exp in result.get("expectations") or []
               if not exp.get("passed")]
@@ -1519,9 +1450,9 @@ def main(argv=None) -> int:
                                 "payload the exit-code logic sees)")
 
     bench_cmd = commands.add_parser(
-        "bench", help="performance observatory: run the benchmark "
-                      "suite, compare reports statistically, browse "
-                      "perf history (exit 3 on regression)")
+        "bench", help="declarative benchmark gates: list and run the "
+                      "registered benchmarks (exit 3 on a failed "
+                      "bound with --check)")
     bench_sub = bench_cmd.add_subparsers(dest="bench_command",
                                          required=True)
 
@@ -1537,8 +1468,8 @@ def main(argv=None) -> int:
                             help="emit benchmark metadata as JSON")
 
     bench_run = bench_sub.add_parser(
-        "run", help="run a suite; write the BENCH report and append "
-                    "the perf-history ledger")
+        "run", help="run a suite and report each median against its "
+                    "declared bounds")
     bench_run.add_argument("--suite", choices=["quick", "full"],
                            default="quick",
                            help="which suite to run (default quick)")
@@ -1554,18 +1485,11 @@ def main(argv=None) -> int:
                            help="override every benchmark's declared "
                                 "warmup count")
     bench_run.add_argument("--out", metavar="FILE", default=None,
-                           help="report path (default BENCH_9.json at "
-                                "the repo root)")
+                           help="also write the report JSON to FILE "
+                                "(default: write no file)")
     bench_run.add_argument("--dir", metavar="DIR", default=None,
                            help="benchmarks directory (default: this "
                                 "checkout's benchmarks/)")
-    bench_run.add_argument("--store", metavar="DIR", default=None,
-                           help="run-store root for the perf-history "
-                                "ledger (default $REPRO_STORE or "
-                                "~/.repro/store)")
-    bench_run.add_argument("--no-ledger", action="store_true",
-                           help="do not append to the perf-history "
-                                "ledger")
     bench_run.add_argument("--json", action="store_true",
                            help="print the report JSON on stdout "
                                 "(progress goes to stderr)")
@@ -1574,35 +1498,6 @@ def main(argv=None) -> int:
     bench_run.add_argument("--check", action="store_true",
                            help="exit 3 when a declarative expectation "
                                 "(the migrated CI guards) fails")
-
-    bench_compare = bench_sub.add_parser(
-        "compare", help="statistical A/B gate over two reports "
-                        "(exit 3 on regression)")
-    bench_compare.add_argument("a", help="baseline BENCH report")
-    bench_compare.add_argument("b", help="candidate BENCH report")
-    bench_compare.add_argument("--k", type=float, default=3.0,
-                               metavar="K",
-                               help="MAD multiplier of the noise band "
-                                    "(default 3.0)")
-    bench_compare.add_argument("--min-rel", type=float, default=0.05,
-                               metavar="R",
-                               help="relative floor of the noise band "
-                                    "(default 0.05)")
-    bench_compare.add_argument("--json", action="store_true",
-                               help="emit the comparison as JSON")
-
-    bench_history = bench_sub.add_parser(
-        "history", help="one benchmark's trajectory from the "
-                        "perf-history ledger (sparkline + changepoint)")
-    bench_history.add_argument("bench_id", help="benchmark id")
-    bench_history.add_argument("--store", metavar="DIR", default=None,
-                               help="run-store root (default "
-                                    "$REPRO_STORE or ~/.repro/store)")
-    bench_history.add_argument("--limit", type=int, default=0,
-                               metavar="N",
-                               help="show only the newest N entries")
-    bench_history.add_argument("--json", action="store_true",
-                               help="emit entries + changepoint as JSON")
 
     tree = commands.add_parser(
         "tree", help="reconstruct the execution tree of a saved run")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..smt.solver import cache_hits
 from .events import HEALTH
 from .sinks import RunFile
 
@@ -133,11 +134,8 @@ def extract_metrics(run: RunFile) -> Dict[str, MetricValue]:
         put("solver.solve_time_s", solver["solve_time"], LOWER)
     checks = solver.get("checks") or 0
     if checks:
-        cached = sum(float(solver.get(key, 0) or 0) for key in
-                     ("cache_hit_sat", "cache_hit_unsat",
-                      "cache_model_reuse", "cache_subsumed_unsat",
-                      "frame_reuse"))
-        put("solver.cache_hit_ratio", cached / checks, HIGHER)
+        put("solver.cache_hit_ratio", cache_hits(solver) / checks,
+            HIGHER)
     phases = telemetry.get("phases") or {}
     for name, stats in phases.items():
         total = (stats or {}).get("total_s")

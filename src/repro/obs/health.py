@@ -248,6 +248,7 @@ class HealthMonitor:
 
     def _sample(self, now: float) -> Optional[List[Dict[str, object]]]:
         from ..smt import terms as T
+        from ..smt.solver import cache_hits
         engine, result = self._engine, self._result
         if engine is None or result is None:
             return None
@@ -261,11 +262,7 @@ class HealthMonitor:
         solve_time = float(solver_delta.get("solve_time", 0.0))
         solver_share = solve_time / elapsed if elapsed > 0 else 0.0
         checks = int(solver_delta.get("checks", 0))
-        cached = int(solver_delta.get("cache_hit_sat", 0)
-                     + solver_delta.get("cache_hit_unsat", 0)
-                     + solver_delta.get("cache_model_reuse", 0)
-                     + solver_delta.get("cache_subsumed_unsat", 0)
-                     + solver_delta.get("frame_reuse", 0))
+        cached = int(cache_hits(solver_delta))
         hit_ratio = cached / checks if checks else 0.0
         pool_now = T.get_pool().stats()
         pool_grown = pool_now["interned"] - self._pool_begin.get(

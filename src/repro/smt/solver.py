@@ -44,7 +44,7 @@ engine's ``--no-solver-cache`` flag maps to ``use_query_cache=False``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from . import terms as T
 from .bitblast import BitBlaster
@@ -52,7 +52,19 @@ from .cache import QueryCache, Witness
 from .interval import Interval, refute_conjunction
 from .sat import SAT, UNSAT, SatSolver
 
-__all__ = ["Solver", "SolverStats", "SAT", "UNSAT"]
+__all__ = ["Solver", "SolverStats", "SAT", "UNSAT", "cache_hits"]
+
+#: The :class:`SolverStats` counters of queries answered without a
+#: solve, one per cache-layer sub-path (frame replay included).
+CACHE_HIT_KEYS = ("cache_hit_sat", "cache_hit_unsat", "cache_model_reuse",
+                  "cache_subsumed_unsat", "frame_reuse")
+
+
+def cache_hits(stats: Mapping[str, float]) -> float:
+    """Queries answered by the cache layer (any sub-path) in a stats
+    dict: :meth:`SolverStats.as_dict`, a delta or a run summary's
+    ``solver`` block."""
+    return sum(stats.get(key) or 0 for key in CACHE_HIT_KEYS)
 
 
 class SolverStats:
@@ -103,9 +115,7 @@ class SolverStats:
 
     def cache_hits_total(self) -> int:
         """Queries answered by the cache layer (any sub-path)."""
-        return (self.cache_hit_sat + self.cache_hit_unsat
-                + self.cache_model_reuse + self.cache_subsumed_unsat
-                + self.frame_reuse)
+        return int(cache_hits(self.__dict__))
 
     def __repr__(self):
         return "SolverStats(%s)" % ", ".join(

@@ -1,11 +1,12 @@
-"""CLI surface of the performance observatory: ``repro bench
-list/run/compare/history`` plus ``repro diffstats --json``.
+"""CLI surface of the declarative benchmark gates: ``repro bench
+list/run`` plus ``repro diffstats --json``.
 
 All CLI runs use a synthetic benchmarks directory (one fast,
 deterministic module) so the tests are hermetic and timing-free.
 """
 
 import json
+import os
 
 import pytest
 
@@ -49,15 +50,9 @@ def bench_dir(tmp_path):
     return str(directory)
 
 
-@pytest.fixture
-def store_dir(tmp_path):
-    return str(tmp_path / "store")
-
-
-def _run(bench_dir, store_dir, out, extra=()):
+def _run(bench_dir, out, extra=()):
     return main(["bench", "run", "--suite", "quick", "--dir", bench_dir,
-                 "--store", store_dir, "--out", out, "--quiet"]
-                + list(extra))
+                 "--out", out, "--quiet"] + list(extra))
 
 
 class TestBenchList:
@@ -86,26 +81,32 @@ class TestBenchList:
 
 
 class TestBenchRun:
-    def test_run_writes_report_and_ledger(self, bench_dir, store_dir,
-                                          tmp_path, capsys):
+    def test_run_writes_report(self, bench_dir, tmp_path, capsys):
         out = str(tmp_path / "BENCH_A.json")
-        assert _run(bench_dir, store_dir, out) == 0
+        assert _run(bench_dir, out) == 0
         report = json.load(open(out))
         assert report["schema"] == "repro-bench/1"
         (result,) = report["results"]
         assert result["id"] == "syn.speedup"
         assert result["median"] == 2.0
         assert result["samples"][0]["wall_s"] == 0.001
-        ledger_out = capsys.readouterr().out
-        assert "ledger:" in ledger_out
-        history = (tmp_path / "store" / "bench" /
-                   "history.jsonl").read_text()
-        assert "syn.speedup" in history
+        assert "report: %s" % out in capsys.readouterr().out
+
+    def test_run_without_out_writes_no_file(self, bench_dir, tmp_path,
+                                            monkeypatch, capsys):
+        # Neither a report next to the benchmarks directory nor any
+        # history under the run store: without --out the report only
+        # goes to stdout.
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
+        assert main(["bench", "run", "--dir", bench_dir,
+                     "--quiet"]) == 0
+        assert "syn.speedup" in capsys.readouterr().out
+        assert os.listdir(str(tmp_path)) == ["benchmarks"]
 
     def test_run_check_passes_met_expectations(self, bench_dir,
-                                               store_dir, tmp_path):
+                                               tmp_path):
         out = str(tmp_path / "BENCH_A.json")
-        assert _run(bench_dir, store_dir, out, ["--check"]) == 0
+        assert _run(bench_dir, out, ["--check"]) == 0
 
     def test_run_check_fails_unmet_expectation(self, tmp_path, capsys):
         directory = tmp_path / "benchmarks"
@@ -113,100 +114,36 @@ class TestBenchRun:
         (directory / "bench_failing.py").write_text(FAILING_MODULE)
         out = str(tmp_path / "BENCH_A.json")
         assert main(["bench", "run", "--suite", "quick",
-                     "--dir", str(directory), "--no-ledger",
+                     "--dir", str(directory),
                      "--out", out, "--quiet", "--check"]) == 3
         assert "FAIL" in capsys.readouterr().err
 
-    def test_run_single_bench_selection(self, bench_dir, store_dir,
-                                        tmp_path):
+    def test_run_single_bench_selection(self, bench_dir, tmp_path):
         out = str(tmp_path / "BENCH_A.json")
         assert main(["bench", "run", "--bench", "syn.wall",
-                     "--dir", bench_dir, "--no-ledger",
+                     "--dir", bench_dir,
                      "--out", out, "--quiet"]) == 0
         report = json.load(open(out))
         assert [r["id"] for r in report["results"]] == ["syn.wall"]
 
     def test_run_unknown_bench_is_error(self, bench_dir, capsys):
         assert main(["bench", "run", "--bench", "no.such",
-                     "--dir", bench_dir, "--quiet",
-                     "--no-ledger"]) == 1
+                     "--dir", bench_dir, "--quiet"]) == 1
         assert "unknown benchmark" in capsys.readouterr().err
 
-    def test_run_json_emits_report_on_stdout(self, bench_dir, store_dir,
-                                             tmp_path, capsys):
+    def test_run_json_emits_report_on_stdout(self, bench_dir, tmp_path,
+                                             capsys):
         out = str(tmp_path / "BENCH_A.json")
-        assert _run(bench_dir, store_dir, out, ["--json"]) == 0
+        assert _run(bench_dir, out, ["--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["schema"] == "repro-bench/1"
 
-
-class TestBenchCompare:
-    def _two_reports(self, bench_dir, store_dir, tmp_path):
-        a = str(tmp_path / "BENCH_A.json")
-        b = str(tmp_path / "BENCH_B.json")
-        assert _run(bench_dir, store_dir, a) == 0
-        assert _run(bench_dir, store_dir, b) == 0
-        return a, b
-
-    def test_identical_rerun_exits_zero(self, bench_dir, store_dir,
-                                        tmp_path, capsys):
-        a, b = self._two_reports(bench_dir, store_dir, tmp_path)
-        assert main(["bench", "compare", a, b]) == 0
-        assert "regressions: 0" in capsys.readouterr().out
-
-    def test_injected_regression_exits_three(self, bench_dir, store_dir,
-                                             tmp_path, capsys):
-        a, b = self._two_reports(bench_dir, store_dir, tmp_path)
-        report = json.load(open(b))
-        for result in report["results"]:
-            for sample in result["samples"]:
-                sample["value"] *= 0.5
-            result["median"] *= 0.5
-        json.dump(report, open(b, "w"))
-        assert main(["bench", "compare", a, b]) == 3
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_compare_json_payload(self, bench_dir, store_dir, tmp_path,
-                                  capsys):
-        a, b = self._two_reports(bench_dir, store_dir, tmp_path)
-        capsys.readouterr()     # drain the run output
-        assert main(["bench", "compare", a, b, "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["regressions"] == 0
-        assert payload["env_match"] is True
-
-    def test_compare_unreadable_input_exits_one(self, tmp_path, capsys):
-        missing = str(tmp_path / "absent.json")
-        assert main(["bench", "compare", missing, missing]) == 1
-        assert "error:" in capsys.readouterr().err
-
-
-class TestBenchHistory:
-    def test_history_sparkline_and_table(self, bench_dir, store_dir,
-                                         tmp_path, capsys):
-        assert _run(bench_dir, store_dir,
-                    str(tmp_path / "BENCH_A.json")) == 0
-        assert main(["bench", "history", "syn.speedup",
-                     "--store", store_dir]) == 0
+    def test_help_lists_only_list_and_run(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bench", "--help"])
         out = capsys.readouterr().out
-        assert "syn.speedup (1 entry" in out
-        assert "▄" in out
-
-    def test_history_json(self, bench_dir, store_dir, tmp_path, capsys):
-        assert _run(bench_dir, store_dir,
-                    str(tmp_path / "BENCH_A.json")) == 0
-        capsys.readouterr()     # drain the run output
-        assert main(["bench", "history", "syn.speedup",
-                     "--store", store_dir, "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["bench"] == "syn.speedup"
-        assert payload["entries"][0]["median"] == 2.0
-        assert payload["changepoint"] is None
-
-    def test_history_unknown_bench_exits_one(self, store_dir, capsys):
-        assert main(["bench", "history", "no.such",
-                     "--store", store_dir]) == 1
-        assert "no history" in capsys.readouterr().err
+        assert "{list,run}" in out
+        assert "compare" not in out and "history" not in out
 
 
 # -- repro diffstats --json ---------------------------------------------------

@@ -1,16 +1,13 @@
-"""Runner report schema, declarative expectations, and the statistical
-report-vs-report comparison gate."""
+"""Registry, runner report schema and declarative expectations."""
 
 import json
 
 import pytest
 
 from repro.bench import (REPORT_SCHEMA, BenchError, Benchmark, Sample,
-                         all_benchmarks, benchmark, compare_reports,
-                         default_report_path, evaluate_expectations,
-                         get, load_report, render_comparison,
-                         render_report, run_benchmarks, suite_benchmarks,
-                         write_report)
+                         all_benchmarks, benchmark, evaluate_expectations,
+                         get, render_report, run_benchmarks,
+                         suite_benchmarks, write_report)
 
 
 def _register(value=2.0, expect_min=None, expect_max=None,
@@ -59,7 +56,7 @@ class TestRunReport:
         report = run_benchmarks(all_benchmarks(), suite="quick")
         assert report["schema"] == REPORT_SCHEMA
         assert report["suite"] == "quick"
-        assert report["env_digest"].startswith("sha256:")
+        assert report["env"]["python"]
         (result,) = report["results"]
         assert result["id"] == "syn.a"
         assert result["reps"] == 3
@@ -68,6 +65,14 @@ class TestRunReport:
         (exp,) = result["expectations"]
         assert exp == {"kind": "min", "threshold": 1.0,
                        "observed": 2.0, "passed": True}
+
+    def test_median_and_mad_of_uneven_samples(self):
+        from repro.bench import register
+        series = [1.0, 2.0, 10.0]
+        register(Benchmark("syn.uneven", lambda: series.pop(0), reps=3,
+                           warmup=0))
+        (result,) = run_benchmarks(all_benchmarks())["results"]
+        assert result["median"] == 2.0 and result["mad"] == 1.0
 
     def test_failed_expectation_recorded(self):
         from repro.bench import register
@@ -98,93 +103,5 @@ class TestRunReport:
         report = run_benchmarks(all_benchmarks())
         path = str(tmp_path / "BENCH_test.json")
         write_report(report, path)
-        assert load_report(path)["results"][0]["median"] == 2.0
-
-    def test_load_report_rejects_garbage(self, tmp_path):
-        missing = str(tmp_path / "absent.json")
-        with pytest.raises(BenchError):
-            load_report(missing)
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(BenchError):
-            load_report(str(bad))
-        wrong = tmp_path / "wrong.json"
-        wrong.write_text(json.dumps({"schema": "repro-bench/99",
-                                     "results": []}))
-        with pytest.raises(BenchError):
-            load_report(str(wrong))
-
-    def test_default_report_path_basename(self):
-        assert default_report_path().endswith("BENCH_9.json")
-
-
-def _report_with(values, direction="higher", expect_min=None,
-                 bench_id="syn.a"):
-    from repro.bench import clear_registry, register
-    clear_registry()
-    series = list(values)
-    register(Benchmark(bench_id, lambda: series.pop(0), suite="quick",
-                       unit="x", direction=direction, reps=len(values),
-                       warmup=0, expect_min=expect_min))
-    return run_benchmarks(all_benchmarks())
-
-
-class TestCompareReports:
-    def test_identical_reports_clean(self):
-        report = _report_with([2.0, 2.1, 1.95])
-        comparison = compare_reports(report, report)
-        assert comparison.regressions == []
-        assert comparison.env_match is True
-        assert "REGRESSION" not in render_comparison(comparison)
-
-    def test_injected_regression_flagged(self):
-        base = _report_with([2.0, 2.1, 1.95])
-        bad = _report_with([1.0, 1.05, 0.98])    # throughput halved
-        comparison = compare_reports(base, bad)
-        (row,) = comparison.regressions
-        assert row.bench_id == "syn.a"
-        assert row.verdict.worse_ratio > 0.4
-        assert "REGRESSION" in render_comparison(comparison)
-
-    def test_improvement_is_not_a_regression(self):
-        base = _report_with([2.0, 2.1, 1.95])
-        better = _report_with([4.0, 4.1, 3.9])
-        comparison = compare_reports(base, better)
-        assert comparison.regressions == []
-        assert len(comparison.improvements) == 1
-
-    def test_noise_within_band_is_ok(self):
-        base = _report_with([2.0, 2.05, 1.95])
-        wiggle = _report_with([1.98, 2.02, 2.01])
-        assert compare_reports(base, wiggle).regressions == []
-
-    def test_failed_expectation_gates_even_without_band_move(self):
-        # The migrated CI guards: an absolute floor that fails in B
-        # must gate even if A and B are statistically identical.
-        base = _report_with([2.0, 2.0, 2.0])
-        candidate = _report_with([2.0, 2.0, 2.0], expect_min=5.0)
-        comparison = compare_reports(base, candidate)
-        (row,) = comparison.regressions
-        assert row.flag == "regression"
-        assert row.verdict.flag == "ok"
-
-    def test_unmatched_benchmark_reported_not_fatal(self):
-        base = _report_with([2.0, 2.0, 2.0], bench_id="syn.old")
-        candidate = _report_with([2.0, 2.0, 2.0], bench_id="syn.new")
-        comparison = compare_reports(base, candidate)
-        flags = {row.bench_id: row.flag for row in comparison.rows}
-        assert flags["syn.old"] == "unmatched"
-        assert flags["syn.new"] == "unmatched"
-        assert comparison.regressions == []
-
-    def test_direction_lower_is_better(self):
-        base = _report_with([1.0, 1.0, 1.0], direction="lower")
-        slower = _report_with([1.5, 1.5, 1.5], direction="lower")
-        assert len(compare_reports(base, slower).regressions) == 1
-        assert compare_reports(slower, base).regressions == []
-
-    def test_to_dict_payload(self):
-        base = _report_with([2.0, 2.0, 2.0])
-        payload = compare_reports(base, base).to_dict()
-        assert payload["regressions"] == 0
-        assert payload["rows"][0]["flag"] == "ok"
+        with open(path) as handle:
+            assert json.load(handle)["results"][0]["median"] == 2.0
